@@ -4,6 +4,7 @@
 // validation of packs it cannot replay faithfully.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -53,6 +54,50 @@ Pack MustParse(const std::string& text) {
   auto pack = ParsePack(text);
   EXPECT_TRUE(pack.ok()) << pack.status().ToString();
   return *pack;
+}
+
+#ifndef CROWDRTSE_SCENARIO_DIR
+#error "build must define CROWDRTSE_SCENARIO_DIR"
+#endif
+
+// Pinned replay digests of every committed pack at its own seed, on both
+// engines. --check-replay only compares two runs of the same build, so a
+// change that shifts every answer would pass it; this table catches that.
+// A deliberate change to the answers (a new RNG stream, a new kernel
+// association) re-baselines the table in its own commit.
+TEST(ScenarioRunnerTest, CommittedPackDigestsArePinned) {
+  struct Pinned {
+    const char* pack;
+    uint64_t single;
+    uint64_t sharded;
+  };
+  constexpr Pinned kPinned[] = {
+      {"budget_wave", 0x9f30815a0a1996e3ULL, 0x2b5e1f99f3c15c27ULL},
+      {"fault_swap", 0xa29a63348644fdf6ULL, 0xa5c1f9b7c075e471ULL},
+      {"flash_crowd", 0xbd3bbdeff2c643e9ULL, 0x41df66dbd0217b44ULL},
+      {"incident_cascade", 0x71b044e345b3b18bULL, 0x2e878424354da1fbULL},
+      {"liar_cohort", 0x8137c90137290ef8ULL, 0xff23543ec3df8c41ULL},
+      {"rush_hour", 0x70d57f2636549b57ULL, 0x7c23b6b7abd69bb8ULL},
+      {"worker_starvation", 0xf9751e22cc195bbfULL, 0x5beb0160db6700c1ULL},
+  };
+  for (const Pinned& pinned : kPinned) {
+    auto pack = LoadPackFile(std::string(CROWDRTSE_SCENARIO_DIR) + "/" +
+                             pinned.pack + ".scn");
+    ASSERT_TRUE(pack.ok()) << pinned.pack << ": " << pack.status().ToString();
+    for (const auto kind : {RunnerOptions::EngineKind::kSingle,
+                            RunnerOptions::EngineKind::kSharded}) {
+      RunnerOptions options;
+      options.engine = kind;
+      auto report = RunScenario(*pack, options);
+      ASSERT_TRUE(report.ok()) << pinned.pack << ": "
+                               << report.status().ToString();
+      const uint64_t expected =
+          kind == RunnerOptions::EngineKind::kSingle ? pinned.single
+                                                     : pinned.sharded;
+      EXPECT_EQ(report->answers_digest, expected)
+          << pinned.pack << " on " << EngineKindName(kind);
+    }
+  }
 }
 
 TEST(ScenarioRunnerTest, ReplayIsByteIdenticalAcrossRuns) {
