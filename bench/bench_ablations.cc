@@ -4,22 +4,19 @@
 //      outlier-contaminated crowd answers;
 //   2. path-correlation reduction: exact -log(rho) vs the paper's literal
 //      1/rho heuristic (Eq. 9) — objective quality of the resulting OCS;
-//   3. parallel GSP: wall-time and agreement vs the sequential schedule;
-//   4. greedy-vs-exact OCS gap on small instances (empirical approximation
-//      ratio vs the (1 - 1/e)/2 guarantee).
+//   3. greedy-vs-exact OCS gap on small instances (empirical approximation
+//      ratio vs the (1 - 1/e)/2 guarantee);
+//   4. variance-explained vs the paper's OCS objective.
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/gsp_estimator.h"
 #include "eval/table_printer.h"
-#include "graph/bfs.h"
 #include "ocs/exact_solver.h"
 #include "quality_harness.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace crowdrtse::bench {
 namespace {
@@ -90,76 +87,9 @@ void PathWeightAblation(const SemiSyntheticWorld& world) {
       total, weaker, 100.0 * weaker / std::max(1, total), worst_gap);
 }
 
-void ParallelGspForNetwork(const graph::Graph& network,
-                           const rtf::RtfModel& model, int slot) {
-  std::vector<graph::RoadId> sampled;
-  std::vector<double> probed;
-  for (graph::RoadId r = 0; r < network.num_roads(); r += 12) {
-    sampled.push_back(r);
-    probed.push_back(model.Mu(slot, r) * 0.7);  // congested probes
-  }
-  eval::TablePrinter table({"threads", "ms/propagation", "sweeps",
-                            "max |diff| vs sequential"});
-  std::vector<double> reference;
-  for (int threads : {1, 2, 4, 8}) {
-    gsp::GspOptions options;
-    options.num_threads = threads;
-    options.epsilon = 1e-6;
-    const gsp::SpeedPropagator propagator(model, options);
-    util::Timer timer;
-    const int reps = 10;
-    gsp::GspResult last;
-    for (int i = 0; i < reps; ++i) {
-      auto result = propagator.Propagate(slot, sampled, probed);
-      CROWDRTSE_CHECK(result.ok());
-      last = std::move(*result);
-    }
-    const double ms = timer.ElapsedMillis() / reps;
-    double max_diff = 0.0;
-    if (threads == 1) {
-      reference = last.speeds;
-    } else {
-      for (size_t i = 0; i < reference.size(); ++i) {
-        max_diff = std::max(max_diff,
-                            std::fabs(reference[i] - last.speeds[i]));
-      }
-    }
-    table.AddRow({std::to_string(threads), util::FormatDouble(ms, 3),
-                  std::to_string(last.sweeps),
-                  util::FormatDouble(max_diff, 6)});
-  }
-  table.Print();
-}
-
-void ParallelGspAblation(const SemiSyntheticWorld& world) {
-  std::printf("\n--- ablation 3: sequential vs parallel GSP ---\n");
-  std::printf(
-      "hardware threads on this machine: %u (speedups require > 1; the "
-      "point of this table is that all schedules reach the same fixed "
-      "point)\n",
-      std::thread::hardware_concurrency());
-  std::printf("city-scale network (%d roads):\n", world.network.num_roads());
-  ParallelGspForNetwork(world.network, world.model, 99);
-
-  // The level-parallel schedule only pays once the per-level colour groups
-  // are large; demonstrate on a metro-area-scale network with a synthetic
-  // uniform model.
-  const graph::Graph metro = *graph::GridNetwork(160, 160);
-  rtf::RtfModel metro_model(metro, 1);
-  for (graph::RoadId r = 0; r < metro.num_roads(); ++r) {
-    metro_model.SetMu(0, r, 50.0);
-    metro_model.SetSigma(0, r, 4.0);
-  }
-  for (graph::EdgeId e = 0; e < metro.num_edges(); ++e) {
-    metro_model.SetRho(0, e, 0.8);
-  }
-  std::printf("\nmetro-scale network (%d roads):\n", metro.num_roads());
-  ParallelGspForNetwork(metro, metro_model, 0);
-}
-
 void GreedyVsExactAblation() {
   std::printf(
-      "\n--- ablation 4: empirical Hybrid-Greedy approximation ratio ---\n");
+      "\n--- ablation 3: empirical Hybrid-Greedy approximation ratio ---\n");
   const double bound = (1.0 - 1.0 / 2.718281828) / 2.0;
   double worst = 1.0;
   double sum = 0.0;
@@ -208,7 +138,7 @@ void VarianceObjectiveAblation(const SemiSyntheticWorld& world) {
   // and squared path correlations (corr^2 of a max-product path is the
   // max-product of squared edge rhos, so the same machinery applies).
   std::printf(
-      "\n--- ablation 5: variance-explained vs paper OCS objective ---\n");
+      "\n--- ablation 4: variance-explained vs paper OCS objective ---\n");
   const int slot = 99;
   const auto corr_table = rtf::CorrelationTable::Compute(world.model, slot);
   CROWDRTSE_CHECK(corr_table.ok());
@@ -270,7 +200,6 @@ void Run() {
   const SemiSyntheticWorld world = BuildWorld(options);
   AggregationAblation(world);
   PathWeightAblation(world);
-  ParallelGspAblation(world);
   GreedyVsExactAblation();
   VarianceObjectiveAblation(world);
 }

@@ -624,10 +624,8 @@ void Run() {
   options.num_roads = 300;
   options.num_days = 10;
   const SemiSyntheticWorld world = BuildWorld(options);
-  core::CrowdRtseConfig config;
-  config.gsp.num_threads = 2;  // parallel GSP: the non-reentrant config
   auto system =
-      core::CrowdRtse::BuildOffline(world.network, world.history, config);
+      core::CrowdRtse::BuildOffline(world.network, world.history, {});
   CROWDRTSE_CHECK(system.ok());
   // Warm the per-slot correlation cache once, as a deployed service would
   // during rollout, so every thread count measures serving rather than the

@@ -1,21 +1,22 @@
 // Micro-benchmarks of the hot kernels, A/B-ing the mechanical-sympathy
 // rewrites against their golden baselines on one metro-scale network:
 //
-//   - GSP Eq. (18) sweeps: the reference accessor kernel vs the SoA scalar,
-//     four-lane unrolled and AVX2 kernels (all compute the same fixpoint;
-//     see gsp::GspKernel), sequential and level-parallel.
+//   - GSP Eq. (18) sweeps: the reference accessor kernel vs the four-lane
+//     unrolled production kernel (both compute the same fixpoint; see
+//     gsp::GspKernel).
 //   - Gamma_R maintenance: full sparse-closure rebuild vs the incremental
 //     RefreshedRows patch after a few edge correlations change.
-//   - Graph primitives: callback Dijkstra vs the flat-weight DijkstraInto,
-//     per-level BFS vs the flat single-allocation MultiSourceBfsInto.
+//   - Graph primitives: the flat single-allocation MultiSourceBfsInto and
+//     the flat-weight DijkstraInto.
 //
 // Every timed kernel lands in the JSON artifact as {kernel, ns_per_op,
-// roads, threads}; the artifact also records the two headline speedups
-// (GSP reference -> auto, Gamma_R full -> incremental) which --strict
-// (default) gates at >= 3x.
+// roads}; the artifact also records the two headline speedups (GSP
+// reference -> unrolled, under the historical key
+// gsp_speedup_reference_to_auto, and Gamma_R full -> incremental) which
+// --strict (default) gates at >= 3x.
 //
-// Flags: --roads=N --threads=T --reps=R --sweeps=S --hop_radius=C
-//        --json_out=PATH --quick --no-strict
+// Flags: --roads=N --reps=R --sweeps=S --hop_radius=C --json_out=PATH
+//        --quick --no-strict
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -35,7 +36,6 @@
 #include "util/logging.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace crowdrtse::bench {
@@ -43,7 +43,6 @@ namespace {
 
 struct Flags {
   int roads = 60000;
-  int threads = 4;
   int reps = 5;
   int sweeps = 8;       // fixed sweep count (epsilon = 0) for fair A/B
   int hop_radius = 3;   // sparse Gamma_R closure radius
@@ -64,7 +63,6 @@ Flags ParseFlags(int argc, char** argv) {
       return false;
     };
     if (int_flag("--roads", &flags.roads)) continue;
-    if (int_flag("--threads", &flags.threads)) continue;
     if (int_flag("--reps", &flags.reps)) continue;
     if (int_flag("--sweeps", &flags.sweeps)) continue;
     if (int_flag("--hop_radius", &flags.hop_radius)) continue;
@@ -113,14 +111,13 @@ struct KernelResult {
   std::string kernel;
   double ns_per_op = 0.0;
   int roads = 0;
-  int threads = 1;
 };
 
 double g_sink = 0.0;  // defeats dead-code elimination of benched results
 
 template <typename Fn>
 double MeasureNsPerOp(int reps, Fn&& fn) {
-  fn();  // warm up caches, pools, lazily built colourings
+  fn();  // warm up caches and the per-thread arenas
   util::Timer timer;
   for (int i = 0; i < reps; ++i) fn();
   return timer.ElapsedSeconds() * 1e9 / std::max(1, reps);
@@ -128,11 +125,8 @@ double MeasureNsPerOp(int reps, Fn&& fn) {
 
 const char* KernelName(gsp::GspKernel kernel) {
   switch (kernel) {
-    case gsp::GspKernel::kAuto: return "auto";
     case gsp::GspKernel::kReference: return "reference";
-    case gsp::GspKernel::kScalar: return "scalar";
     case gsp::GspKernel::kUnrolled: return "unrolled";
-    case gsp::GspKernel::kAvx2: return "avx2";
   }
   return "?";
 }
@@ -149,10 +143,9 @@ void DumpArtifact(const std::string& path, const std::string& content) {
 }
 
 void Run(const Flags& flags) {
-  std::printf("=== bench_microkernels: %d roads, %d threads, %d reps, "
-              "%d sweeps, C=%d ===\n",
-              flags.roads, flags.threads, flags.reps, flags.sweeps,
-              flags.hop_radius);
+  std::printf("=== bench_microkernels: %d roads, %d reps, %d sweeps, "
+              "C=%d ===\n",
+              flags.roads, flags.reps, flags.sweeps, flags.hop_radius);
 
   graph::MetroNetworkOptions metro;
   metro.num_roads = flags.roads;
@@ -174,29 +167,20 @@ void Run(const Flags& flags) {
   }
 
   std::vector<KernelResult> results;
-  const auto record = [&results, n](std::string name, double ns,
-                                    int threads) {
-    std::printf("  %-28s %14.0f ns/op  (threads=%d)\n", name.c_str(), ns,
-                threads);
-    results.push_back({std::move(name), ns, n, threads});
+  const auto record = [&results, n](std::string name, double ns) {
+    std::printf("  %-28s %14.0f ns/op\n", name.c_str(), ns);
+    results.push_back({std::move(name), ns, n});
   };
 
-  // --- GSP sweep kernels, sequential. epsilon = 0 pins every kernel to
+  // --- GSP sweep kernels. A vanishing epsilon pins both kernels to
   // exactly `sweeps` full sweeps, so ns/op compares identical work.
   double gsp_reference_ns = 0.0;
-  double gsp_auto_ns = 0.0;
-  std::vector<gsp::GspKernel> kernels = {
-      gsp::GspKernel::kReference, gsp::GspKernel::kScalar,
-      gsp::GspKernel::kUnrolled};
-  if (gsp::SpeedPropagator::Avx2Supported()) {
-    kernels.push_back(gsp::GspKernel::kAvx2);
-  }
-  kernels.push_back(gsp::GspKernel::kAuto);
-  for (const gsp::GspKernel kernel : kernels) {
+  double gsp_unrolled_ns = 0.0;
+  for (const gsp::GspKernel kernel :
+       {gsp::GspKernel::kReference, gsp::GspKernel::kUnrolled}) {
     gsp::GspOptions options;
     options.epsilon = 1e-300;  // never converges early: fixed sweep count
     options.max_sweeps = flags.sweeps;
-    options.num_threads = 1;
     options.kernel = kernel;
     const gsp::SpeedPropagator propagator(model, options);
     const double ns = MeasureNsPerOp(flags.reps, [&] {
@@ -204,25 +188,9 @@ void Run(const Flags& flags) {
       CROWDRTSE_CHECK(result.ok());
       g_sink += result->speeds[1];
     });
-    record(std::string("gsp_propagate_") + KernelName(kernel), ns, 1);
+    record(std::string("gsp_propagate_") + KernelName(kernel), ns);
     if (kernel == gsp::GspKernel::kReference) gsp_reference_ns = ns;
-    if (kernel == gsp::GspKernel::kAuto) gsp_auto_ns = ns;
-  }
-
-  // --- GSP level-parallel, auto kernel.
-  if (flags.threads > 1) {
-    gsp::GspOptions options;
-    options.epsilon = 1e-300;  // never converges early: fixed sweep count
-    options.max_sweeps = flags.sweeps;
-    options.num_threads = flags.threads;
-    const gsp::SpeedPropagator propagator(model, options);
-    const double ns = MeasureNsPerOp(flags.reps, [&] {
-      const auto result = propagator.Propagate(0, sampled, probed);
-      CROWDRTSE_CHECK(result.ok());
-      g_sink += result->speeds[1];
-    });
-    record("gsp_propagate_parallel_auto", ns, flags.threads);
-    CROWDRTSE_CHECK(propagator.coloring_builds() == 1);  // cached, not per-op
+    if (kernel == gsp::GspKernel::kUnrolled) gsp_unrolled_ns = ns;
   }
 
   // --- Gamma_R: full sparse rebuild vs incremental row refresh after a
@@ -256,7 +224,7 @@ void Run(const Flags& flags) {
     CROWDRTSE_CHECK(rebuilt.ok());
     g_sink += rebuilt->Corr(0, 0);
   });
-  record("gamma_full_rebuild", gamma_full_ns, 1);
+  record("gamma_full_rebuild", gamma_full_ns);
 
   const double gamma_incremental_ns = MeasureNsPerOp(flags.reps, [&] {
     const auto patched =
@@ -264,65 +232,51 @@ void Run(const Flags& flags) {
     CROWDRTSE_CHECK(patched.ok());
     g_sink += patched->Corr(0, 0);
   });
-  record("gamma_incremental_refresh", gamma_incremental_ns, 1);
+  record("gamma_incremental_refresh", gamma_incremental_ns);
 
-  // --- Graph primitives: flat rewrites vs their callback/nested baselines.
+  // --- Graph primitives.
   {
+    graph::BfsLevels levels;
     const double ns = MeasureNsPerOp(flags.reps, [&] {
-      g_sink += static_cast<double>(
-          graph::MultiSourceBfs(*graph, sampled).levels.size());
+      graph::MultiSourceBfsInto(*graph, sampled, levels);
+      g_sink += static_cast<double>(levels.num_levels());
     });
-    record("bfs_levels", ns, 1);
-    graph::FlatHopLevels flat;
-    const double flat_ns = MeasureNsPerOp(flags.reps, [&] {
-      graph::MultiSourceBfsInto(*graph, sampled, flat);
-      g_sink += static_cast<double>(flat.num_levels());
-    });
-    record("bfs_flat", flat_ns, 1);
+    record("bfs_flat", ns);
   }
   {
-    const double ns = MeasureNsPerOp(flags.reps, [&] {
-      g_sink += graph::Dijkstra(*graph, 0, [](graph::EdgeId) {
-                  return 1.0;
-                }).distance[static_cast<size_t>(n - 1)];
-    });
-    record("dijkstra_callback", ns, 1);
     const std::vector<double> unit_weights(
         static_cast<size_t>(graph->num_edges()), 1.0);
     graph::DijkstraWorkspace workspace;
-    const double flat_ns = MeasureNsPerOp(flags.reps, [&] {
+    const double ns = MeasureNsPerOp(flags.reps, [&] {
       graph::DijkstraInto(*graph, 0, unit_weights, workspace);
       g_sink += workspace.distance[static_cast<size_t>(n - 1)];
     });
-    record("dijkstra_flat", flat_ns, 1);
+    record("dijkstra_flat", ns);
   }
 
   const double gsp_speedup =
-      gsp_auto_ns > 0.0 ? gsp_reference_ns / gsp_auto_ns : 0.0;
+      gsp_unrolled_ns > 0.0 ? gsp_reference_ns / gsp_unrolled_ns : 0.0;
   const double gamma_speedup = gamma_incremental_ns > 0.0
                                    ? gamma_full_ns / gamma_incremental_ns
                                    : 0.0;
-  std::printf("GSP propagation reference -> auto: %.2fx\n", gsp_speedup);
+  std::printf("GSP propagation reference -> unrolled: %.2fx\n",
+              gsp_speedup);
   std::printf("Gamma_R refresh full -> incremental: %.2fx\n", gamma_speedup);
 
   std::string json = "{\n";
   json += "  \"bench\": \"microkernels\",\n";
   json += "  \"roads\": " + std::to_string(n) + ",\n";
   json += "  \"edges\": " + std::to_string(graph->num_edges()) + ",\n";
-  json += "  \"threads\": " + std::to_string(flags.threads) + ",\n";
   json += "  \"reps\": " + std::to_string(flags.reps) + ",\n";
   json += "  \"gsp_sweeps\": " + std::to_string(flags.sweeps) + ",\n";
   json += "  \"gamma_hop_radius\": " + std::to_string(flags.hop_radius) +
           ",\n";
-  json += "  \"avx2\": ";
-  json += gsp::SpeedPropagator::Avx2Supported() ? "true" : "false";
-  json += ",\n  \"kernels\": [\n";
+  json += "  \"kernels\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const KernelResult& r = results[i];
     json += "    {\"kernel\": \"" + r.kernel + "\", \"ns_per_op\": " +
             util::FormatDouble(r.ns_per_op, 0) +
-            ", \"roads\": " + std::to_string(r.roads) +
-            ", \"threads\": " + std::to_string(r.threads) + "}";
+            ", \"roads\": " + std::to_string(r.roads) + "}";
     json += (i + 1 < results.size()) ? ",\n" : "\n";
   }
   json += "  ],\n";

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "graph/dijkstra.h"
 #include "traffic/time_slots.h"
 
 namespace crowdrtse::crowd {
@@ -17,7 +16,16 @@ TrajectorySimulator::TrajectorySimulator(
       geometry_(geometry),
       truth_(truth),
       options_(options),
-      rng_(seed) {}
+      rng_(seed) {
+  // Drivers plan by distance: edge i-j costs the mean length of its two
+  // roads, close enough for a road-as-vertex model.
+  length_weights_.resize(static_cast<size_t>(graph_.num_edges()));
+  for (graph::EdgeId e = 0; e < graph_.num_edges(); ++e) {
+    const auto [a, b] = graph_.EdgeEndpoints(e);
+    length_weights_[static_cast<size_t>(e)] =
+        0.5 * (geometry_.LengthKm(a) + geometry_.LengthKm(b));
+  }
+}
 
 util::Result<Trajectory> TrajectorySimulator::SimulateTrip(
     WorkerId worker, graph::RoadId start, graph::RoadId goal,
@@ -28,18 +36,11 @@ util::Result<Trajectory> TrajectorySimulator::SimulateTrip(
   if (start_minute < 0.0 || start_minute >= options_.day_end_minute) {
     return util::Status::InvalidArgument("start minute outside the day");
   }
-  // Length-shortest route (drivers plan by distance here; the realised
-  // timing then depends on the day's true speeds).
-  const graph::ShortestPaths tree = graph::Dijkstra(
-      graph_, start,
-      [&](graph::EdgeId e) {
-        // Edge i-j costs the destination road's length; close enough for a
-        // road-as-vertex model.
-        const auto [a, b] = graph_.EdgeEndpoints(e);
-        return 0.5 * (geometry_.LengthKm(a) + geometry_.LengthKm(b));
-      });
+  // Length-shortest route; the realised timing then depends on the day's
+  // true speeds.
+  graph::DijkstraInto(graph_, start, length_weights_, dijkstra_);
   const std::vector<graph::RoadId> route =
-      graph::ReconstructPath(tree, start, goal);
+      graph::ReconstructPath(dijkstra_, start, goal);
   if (route.empty()) {
     return util::Status::NotFound("no route between roads " +
                                   std::to_string(start) + " and " +

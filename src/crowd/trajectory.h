@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "crowd/worker.h"
+#include "graph/dijkstra.h"
 #include "graph/graph.h"
 #include "graph/road_geometry.h"
 #include "traffic/history_store.h"
@@ -83,6 +84,10 @@ class TrajectorySimulator {
   const traffic::DayMatrix& truth_;
   TrajectorySimOptions options_;
   util::Rng rng_;
+  // Route-planning weights, one per edge (see the constructor), and the
+  // reused Dijkstra buffers.
+  std::vector<double> length_weights_;
+  graph::DijkstraWorkspace dijkstra_;
 };
 
 }  // namespace crowdrtse::crowd

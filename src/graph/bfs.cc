@@ -6,7 +6,7 @@ namespace crowdrtse::graph {
 
 void MultiSourceBfsInto(const Graph& graph,
                         const std::vector<RoadId>& sources,
-                        FlatHopLevels& out) {
+                        BfsLevels& out) {
   out.hops.assign(static_cast<size_t>(graph.num_roads()), -1);
   out.order.clear();
   out.level_offsets.clear();
@@ -20,8 +20,7 @@ void MultiSourceBfsInto(const Graph& graph,
   out.level_offsets.push_back(0);
   out.level_offsets.push_back(static_cast<int32_t>(out.order.size()));
   // FIFO processing discovers each level contiguously: every hop-(h+1) road
-  // is appended while hop-h roads drain, in the same relative order the
-  // per-level vectors of HopLevels receive them.
+  // is appended while hop-h roads drain.
   size_t head = 0;
   int deepest = 0;
   while (head < out.order.size()) {
@@ -40,34 +39,17 @@ void MultiSourceBfsInto(const Graph& graph,
   }
 }
 
-HopLevels MultiSourceBfs(const Graph& graph,
-                         const std::vector<RoadId>& sources) {
-  FlatHopLevels flat;
-  MultiSourceBfsInto(graph, sources, flat);
-  HopLevels out;
-  out.hops = std::move(flat.hops);
-  out.levels.reserve(static_cast<size_t>(flat.num_levels()));
-  for (int l = 0; l < flat.num_levels(); ++l) {
-    const auto begin =
-        flat.order.begin() + flat.level_offsets[static_cast<size_t>(l)];
-    const auto end =
-        flat.order.begin() + flat.level_offsets[static_cast<size_t>(l) + 1];
-    out.levels.emplace_back(begin, end);
-  }
-  return out;
-}
-
 std::vector<RoadId> RoadsWithinHops(const Graph& graph,
                                     const std::vector<RoadId>& sources,
                                     int max_hops) {
-  const HopLevels levels = MultiSourceBfs(graph, sources);
-  std::vector<RoadId> out;
-  for (int l = 0; l <= max_hops && l < static_cast<int>(levels.levels.size());
-       ++l) {
-    const auto& level = levels.levels[static_cast<size_t>(l)];
-    out.insert(out.end(), level.begin(), level.end());
+  if (max_hops < 0) return {};
+  BfsLevels levels;
+  MultiSourceBfsInto(graph, sources, levels);
+  if (max_hops + 1 < levels.num_levels()) {
+    levels.order.resize(static_cast<size_t>(
+        levels.level_offsets[static_cast<size_t>(max_hops) + 1]));
   }
-  return out;
+  return std::move(levels.order);
 }
 
 }  // namespace crowdrtse::graph

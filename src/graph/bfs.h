@@ -8,33 +8,19 @@
 namespace crowdrtse::graph {
 
 /// Result of a (multi-source) breadth-first traversal: per-road hop count
-/// and the roads grouped by hop level. GSP (paper Alg. 5) schedules its
-/// iterative updates by ascending hop distance from the crowdsourced roads.
-struct HopLevels {
+/// and the roads grouped by hop level, as one contiguous visit sequence
+/// plus level offsets. GSP (paper Alg. 5) schedules its iterative updates
+/// by ascending hop distance from the crowdsourced roads; its arena keeps
+/// an instance alive per thread so a query's BFS levelling costs zero
+/// mallocs after warm-up.
+struct BfsLevels {
   /// hops[r] = minimum hop count from any source; -1 if unreachable.
   std::vector<int> hops;
-  /// levels[l] = roads exactly l hops away; levels[0] are the sources.
-  std::vector<std::vector<RoadId>> levels;
-
-  int MaxHop() const { return static_cast<int>(levels.size()) - 1; }
-};
-
-/// Multi-source BFS from `sources`. Duplicate sources are tolerated.
-HopLevels MultiSourceBfs(const Graph& graph,
-                         const std::vector<RoadId>& sources);
-
-/// Flat (allocation-reusing) form of HopLevels: one contiguous visit
-/// sequence plus level offsets, instead of one vector per level. The GSP
-/// arena keeps an instance alive per thread so a query's BFS levelling
-/// costs zero mallocs after warm-up. Road order within each level is
-/// identical to HopLevels::levels — GSP's sequential sweep order (and so
-/// its bit-exact result) does not depend on which form schedules it.
-struct FlatHopLevels {
-  /// hops[r] = minimum hop count from any source; -1 if unreachable.
-  std::vector<int> hops;
-  /// Roads in BFS discovery order, level-contiguous.
+  /// Roads in BFS discovery order, level-contiguous; level 0 holds the
+  /// sources in the order given.
   std::vector<RoadId> order;
-  /// Level l spans order[level_offsets[l], level_offsets[l+1]).
+  /// Level l (roads exactly l hops away) spans
+  /// order[level_offsets[l], level_offsets[l+1]).
   std::vector<int32_t> level_offsets;
 
   int num_levels() const {
@@ -48,11 +34,11 @@ struct FlatHopLevels {
 /// reallocated, when capacities suffice). Duplicate sources are tolerated.
 void MultiSourceBfsInto(const Graph& graph,
                         const std::vector<RoadId>& sources,
-                        FlatHopLevels& out);
+                        BfsLevels& out);
 
 /// Roads within `max_hops` of any of `sources` (the sources themselves are
-/// 0 hops away and included). Used for the paper's Table III k-hop coverage
-/// metric.
+/// 0 hops away and included), in BFS discovery order. Used for the paper's
+/// Table III k-hop coverage metric.
 std::vector<RoadId> RoadsWithinHops(const Graph& graph,
                                     const std::vector<RoadId>& sources,
                                     int max_hops);

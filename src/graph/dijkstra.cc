@@ -1,40 +1,10 @@
 #include "graph/dijkstra.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <utility>
 
 namespace crowdrtse::graph {
-
-ShortestPaths Dijkstra(const Graph& graph, RoadId source,
-                       const std::function<double(EdgeId)>& edge_weight) {
-  const size_t n = static_cast<size_t>(graph.num_roads());
-  ShortestPaths out;
-  out.distance.assign(n, kUnreachable);
-  out.parent.assign(n, kInvalidRoad);
-  if (!graph.IsValidRoad(source)) return out;
-
-  using Entry = std::pair<double, RoadId>;  // (distance, road)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  out.distance[static_cast<size_t>(source)] = 0.0;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    const auto [dist, road] = heap.top();
-    heap.pop();
-    if (dist > out.distance[static_cast<size_t>(road)]) continue;  // stale
-    for (const Adjacency& adj : graph.Neighbors(road)) {
-      const double w = edge_weight(adj.edge);
-      if (w < 0.0 || w == kUnreachable) continue;  // treat as impassable
-      const double candidate = dist + w;
-      if (candidate < out.distance[static_cast<size_t>(adj.neighbor)]) {
-        out.distance[static_cast<size_t>(adj.neighbor)] = candidate;
-        out.parent[static_cast<size_t>(adj.neighbor)] = road;
-        heap.emplace(candidate, adj.neighbor);
-      }
-    }
-  }
-  return out;
-}
 
 void DijkstraInto(const Graph& graph, RoadId source,
                   std::span<const double> edge_weight,
@@ -45,10 +15,8 @@ void DijkstraInto(const Graph& graph, RoadId source,
   ws.heap.clear();
   if (!graph.IsValidRoad(source)) return;
 
-  // std::priority_queue is specified in terms of push_heap/pop_heap, so
-  // driving those directly over the reused buffer pops entries in exactly
-  // the same sequence as Dijkstra() above — distances, parents, and even
-  // tie-breaks match bit for bit.
+  // A binary min-heap over the reused buffer (what std::priority_queue
+  // would do, without its per-call allocation).
   using Entry = std::pair<double, RoadId>;
   const auto greater = std::greater<Entry>{};
   ws.distance[static_cast<size_t>(source)] = 0.0;
@@ -72,8 +40,8 @@ void DijkstraInto(const Graph& graph, RoadId source,
   }
 }
 
-std::vector<RoadId> ReconstructPath(const ShortestPaths& tree, RoadId source,
-                                    RoadId target) {
+std::vector<RoadId> ReconstructPath(const DijkstraWorkspace& tree,
+                                    RoadId source, RoadId target) {
   std::vector<RoadId> path;
   if (target < 0 ||
       static_cast<size_t>(target) >= tree.distance.size() ||

@@ -4,8 +4,6 @@
 #include <set>
 #include <string>
 
-#include "graph/reorder.h"
-
 namespace crowdrtse::graph {
 
 EdgeId Graph::FindEdge(RoadId a, RoadId b) const {
@@ -84,11 +82,6 @@ util::Result<Graph> GraphBuilder::Build() const {
   g.neighbor_ids_.resize(g.adjacency_.size());
   for (size_t k = 0; k < g.adjacency_.size(); ++k) {
     g.neighbor_ids_[k] = g.adjacency_[k].neighbor;
-  }
-  const std::vector<RoadId> rcm = ReverseCuthillMcKee(g);
-  g.rcm_rank_.assign(static_cast<size_t>(num_roads_), 0);
-  for (size_t k = 0; k < rcm.size(); ++k) {
-    g.rcm_rank_[static_cast<size_t>(rcm[k])] = static_cast<int32_t>(k);
   }
   return g;
 }

@@ -1,15 +1,10 @@
 #include "gsp/propagation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define CROWDRTSE_GSP_X86 1
-#endif
 
 #include "graph/bfs.h"
 #include "obs/flight_recorder.h"
@@ -20,49 +15,38 @@ namespace {
 
 /// Everything a sweep kernel touches, as raw pointers.
 ///
-/// The SoA kernels read the *packed* arrays: per-query copies of the slot
-/// parameters laid out contiguously in relax order (see PackRows), so a
-/// sweep streams every input sequentially except the unavoidable
-/// speeds[neighbour] gather. The CSR pointers (row_offsets/neighbor_ids
-/// plus the SlotSoa arrays) are the pack source. `model` and `slot` exist
-/// only for the kReference kernel, which re-derives the weights through
-/// the accessor API each visit.
+/// The unrolled kernel reads the *packed* arrays: per-query copies of the
+/// slot parameters laid out contiguously in relax order (see PackRows), so
+/// a sweep streams every input sequentially except the unavoidable
+/// speeds[neighbour] gather. `model` and `slot` exist only for the
+/// kReference kernel, which re-derives the weights through the accessor
+/// API each visit.
 struct SweepContext {
-  // Pack sources (SoA slot parameters + CSR topology).
-  const double* mu_inv_var = nullptr;
-  const double* pair_inv_var = nullptr;
-  const double* pair_mean = nullptr;
-  const double* inv_var_sum = nullptr;  // precomputed Eq. (18) denominator
-  const double* num_base = nullptr;     // speed-independent numerator part
-  const size_t* row_offsets = nullptr;
-  const graph::RoadId* neighbor_ids = nullptr;
-  // Packed relax-order views (valid for positions [0, order_size]).
-  const graph::RoadId* order_base = nullptr;  // == workspace order.data()
+  // The relax order, level-contiguous; one sweep visits it front to back.
+  const graph::RoadId* order = nullptr;
   size_t order_size = 0;
+  // Packed relax-order views (valid for positions [0, order_size]).
   const size_t* packed_offsets = nullptr;  // position -> packed row start
   const graph::RoadId* packed_ids = nullptr;
   const double* packed_w = nullptr;     // pair_inv_var in relax order
   const double* packed_m = nullptr;     // pair_mean in relax order
   const double* packed_mu = nullptr;    // mu_inv_var per position
   const double* packed_base = nullptr;  // num_base per position
-  const double* packed_den = nullptr;   // inv_var_sum per position
+  const double* packed_den = nullptr;   // Eq. (18) denominator per position
   double* speeds = nullptr;
   const rtf::RtfModel* model = nullptr;
   int slot = 0;
 };
 
-/// Relaxes roads[0..count) sequentially in place; returns max |delta|.
-/// `roads` always points into the workspace order the packed arrays were
-/// built from, so kernels recover their packed position as
-/// roads - order_base.
-using SweepSpanFn = double (*)(const SweepContext&, const graph::RoadId*,
-                               size_t);
+/// One sweep: relaxes the roads of the relax order in place, front to
+/// back; returns max |delta|.
+using SweepFn = double (*)(const SweepContext&);
 
 /// Original Eq. (18) formulation through the accessor API, with the
 /// inverse-variance clamp (the unguarded 1/sigma^2 was the NaN-poisoning
 /// bug). Accumulates in adjacency order, multiplying by the reciprocal —
-/// exactly the arithmetic the SoA scalar kernel performs, so the two are
-/// bit-identical.
+/// exactly the arithmetic the unrolled kernel performs on rows of degree
+/// < 4, so those rows are bit-identical between the two.
 inline double UpdateRoadReference(const rtf::RtfModel& model, int slot,
                                   graph::RoadId road, const double* speeds,
                                   uint64_t* clamps) {
@@ -82,12 +66,11 @@ inline double UpdateRoadReference(const rtf::RtfModel& model, int slot,
   return numerator / denominator;
 }
 
-double SweepSpanReference(const SweepContext& c, const graph::RoadId* roads,
-                          size_t count) {
+double SweepReference(const SweepContext& c) {
   double local = 0.0;
   uint64_t clamps = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const graph::RoadId road = roads[i];
+  for (size_t pos = 0; pos < c.order_size; ++pos) {
+    const graph::RoadId road = c.order[pos];
     const size_t ri = static_cast<size_t>(road);
     const double updated =
         UpdateRoadReference(*c.model, c.slot, road, c.speeds, &clamps);
@@ -98,12 +81,12 @@ double SweepSpanReference(const SweepContext& c, const graph::RoadId* roads,
   return local;
 }
 
-/// Software prefetch for the SoA kernels. After packing, every stream but
-/// speeds[neighbour] is sequential (hardware-prefetched); the kernels are
+/// Software prefetch for the unrolled kernel. After packing, every stream
+/// but speeds[neighbour] is sequential (hardware-prefetched); the sweep is
 /// latency-bound on those scattered speed reads at metro scale, so pull
 /// the speeds of a row a couple of positions ahead — its packed ids are
-/// already resident. Prefetching performs no arithmetic, so kernel
-/// results are unchanged.
+/// already resident. Prefetching performs no arithmetic, so the results
+/// are unchanged.
 inline void PrefetchSpeeds(const SweepContext& c, size_t pos) {
   const size_t ahead = pos + 2;
   if (ahead >= c.order_size) return;
@@ -115,56 +98,24 @@ inline void PrefetchSpeeds(const SweepContext& c, size_t pos) {
   }
 }
 
-/// SoA scalar kernel: the same numerator operations in the same order as
-/// the reference, reading precomputed (clamped, packed) inverses instead
-/// of re-deriving them. The denominator is read from the precomputed
-/// inv_var_sum fold, which holds the bit-exact value the reference's
-/// accumulation produces (same fold order over the same operands), so the
-/// final divide — and the kernel — stays bit-identical to
-/// UpdateRoadReference.
-double SweepSpanScalar(const SweepContext& c, const graph::RoadId* roads,
-                       size_t count) {
-  const size_t pos0 = static_cast<size_t>(roads - c.order_base);
-  double local = 0.0;
-  for (size_t i = 0; i < count; ++i) {
-    const size_t pos = pos0 + i;
-    PrefetchSpeeds(c, pos);
-    const size_t begin = c.packed_offsets[pos];
-    const size_t end = c.packed_offsets[pos + 1];
-    double num = c.packed_mu[pos];
-    for (size_t k = begin; k < end; ++k) {
-      num += (c.speeds[static_cast<size_t>(c.packed_ids[k])] +
-              c.packed_m[k]) *
-             c.packed_w[k];
-    }
-    const double updated = num / c.packed_den[pos];
-    const size_t ri = static_cast<size_t>(roads[i]);
-    local = std::max(local, std::fabs(updated - c.speeds[ri]));
-    c.speeds[ri] = updated;
-  }
-  return local;
-}
-
-/// Vectorisable sweep: the speed-independent part of the numerator
+/// Production sweep: the speed-independent part of the numerator
 /// (mu_i/sigma_i^2 + sum_j mu_ij/sigma_ij^2) is read pre-folded from
 /// packed_base, and only sum_j v_j/sigma_ij^2 accumulates per sweep — in
-/// four independent lanes combined pairwise ((l0+l1)+(l2+l3)), the
-/// association the AVX2 kernel's horizontal sum shares. Relative to the
-/// scalar kernel this reassociates the numerator by <= ~1e-12 (documented
-/// tolerance); rows of degree < 4 take the scalar path unchanged and stay
-/// bit-identical.
-double SweepSpanUnrolled(const SweepContext& c, const graph::RoadId* roads,
-                         size_t count) {
-  const size_t pos0 = static_cast<size_t>(roads - c.order_base);
+/// four independent lanes combined pairwise ((l0+l1)+(l2+l3)). The
+/// denominator is read from the precomputed inv_var_sum fold, which holds
+/// the bit-exact value the reference's accumulation produces. Relative to
+/// the reference this reassociates the numerator by <= ~1e-12 (documented
+/// tolerance); rows of degree < 4 take the reference's association and
+/// stay bit-identical.
+double SweepUnrolled(const SweepContext& c) {
   double local = 0.0;
-  for (size_t i = 0; i < count; ++i) {
-    const size_t pos = pos0 + i;
+  for (size_t pos = 0; pos < c.order_size; ++pos) {
     PrefetchSpeeds(c, pos);
     const size_t begin = c.packed_offsets[pos];
     const size_t end = c.packed_offsets[pos + 1];
     double num;
     if (end - begin < 4) {
-      // Scalar path, bit-identical to SweepSpanScalar.
+      // Short rows: the reference's association, bit-identical to it.
       num = c.packed_mu[pos];
       for (size_t k = begin; k < end; ++k) {
         num += (c.speeds[static_cast<size_t>(c.packed_ids[k])] +
@@ -191,104 +142,21 @@ double SweepSpanUnrolled(const SweepContext& c, const graph::RoadId* roads,
       }
     }
     const double updated = num / c.packed_den[pos];
-    const size_t ri = static_cast<size_t>(roads[i]);
+    const size_t ri = static_cast<size_t>(c.order[pos]);
     local = std::max(local, std::fabs(updated - c.speeds[ri]));
     c.speeds[ri] = updated;
   }
   return local;
-}
-
-#ifdef CROWDRTSE_GSP_X86
-
-__attribute__((target("avx2"))) inline double HorizontalSumPairwise(
-    __m256d v) {
-  // (lane0 + lane1) + (lane2 + lane3): matches the unrolled kernel's lane
-  // combination, so the two vector kernels share one association.
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d lo_sum = _mm_add_sd(lo, _mm_unpackhi_pd(lo, lo));
-  const __m128d hi_sum = _mm_add_sd(hi, _mm_unpackhi_pd(hi, hi));
-  return _mm_cvtsd_f64(_mm_add_sd(lo_sum, hi_sum));
-}
-
-__attribute__((target("avx2"))) double SweepSpanAvx2(
-    const SweepContext& c, const graph::RoadId* roads, size_t count) {
-  const size_t pos0 = static_cast<size_t>(roads - c.order_base);
-  double local = 0.0;
-  for (size_t i = 0; i < count; ++i) {
-    const size_t pos = pos0 + i;
-    PrefetchSpeeds(c, pos);
-    const size_t begin = c.packed_offsets[pos];
-    const size_t end = c.packed_offsets[pos + 1];
-    double num;
-    if (end - begin < 4) {
-      // Scalar path, bit-identical to SweepSpanScalar.
-      num = c.packed_mu[pos];
-      for (size_t k = begin; k < end; ++k) {
-        num += (c.speeds[static_cast<size_t>(c.packed_ids[k])] +
-                c.packed_m[k]) *
-               c.packed_w[k];
-      }
-    } else {
-      __m256d vnum = _mm256_setzero_pd();
-      size_t k = begin;
-      for (; k + 4 <= end; k += 4) {
-        // Four scalar loads assembled into one vector: faster than the
-        // microcoded _mm256_i32gather_pd on the common cores, and the
-        // lane values are identical either way.
-        const __m256d vj = _mm256_set_pd(
-            c.speeds[static_cast<size_t>(c.packed_ids[k + 3])],
-            c.speeds[static_cast<size_t>(c.packed_ids[k + 2])],
-            c.speeds[static_cast<size_t>(c.packed_ids[k + 1])],
-            c.speeds[static_cast<size_t>(c.packed_ids[k])]);
-        const __m256d w = _mm256_loadu_pd(c.packed_w + k);
-        // Explicit mul + add (no FMA contraction): keeps each lane's
-        // arithmetic identical to the unrolled scalar lanes.
-        vnum = _mm256_add_pd(vnum, _mm256_mul_pd(vj, w));
-      }
-      num = c.packed_base[pos] + HorizontalSumPairwise(vnum);
-      for (; k < end; ++k) {
-        num += c.speeds[static_cast<size_t>(c.packed_ids[k])] *
-               c.packed_w[k];
-      }
-    }
-    const double updated = num / c.packed_den[pos];
-    const size_t ri = static_cast<size_t>(roads[i]);
-    local = std::max(local, std::fabs(updated - c.speeds[ri]));
-    c.speeds[ri] = updated;
-  }
-  return local;
-}
-
-#endif  // CROWDRTSE_GSP_X86
-
-SweepSpanFn SelectSweepFn(GspKernel kernel) {
-  switch (kernel) {
-    case GspKernel::kReference:
-      return &SweepSpanReference;
-    case GspKernel::kScalar:
-      return &SweepSpanScalar;
-    case GspKernel::kUnrolled:
-      return &SweepSpanUnrolled;
-#ifdef CROWDRTSE_GSP_X86
-    case GspKernel::kAvx2:
-      return &SweepSpanAvx2;
-#endif
-    default:
-      return &SweepSpanScalar;
-  }
 }
 
 /// Per-thread arena for the per-query scratch: BFS levelling, the sampled
-/// mask, the relax order, the parallel group boundaries and the packed
-/// relax-order parameter copies. Reused across queries, so steady-state
-/// propagation allocates nothing but the result.
+/// mask, the relax order and the packed relax-order parameter copies.
+/// Reused across queries, so steady-state propagation allocates nothing but
+/// the result.
 struct Workspace {
-  graph::FlatHopLevels bfs;
+  graph::BfsLevels bfs;
   std::vector<char> is_sampled;
-  std::vector<graph::RoadId> order;    // relax order, level-contiguous
-  std::vector<int32_t> level_offsets;  // segments of `order` per BFS level
-  std::vector<int32_t> group_offsets;  // segments per (level, colour) group
+  std::vector<graph::RoadId> order;  // relax order, level-contiguous
   // Packed relax-order copies of the slot parameters (see PackRows).
   std::vector<size_t> packed_offsets;
   std::vector<graph::RoadId> packed_ids;
@@ -304,13 +172,16 @@ Workspace& ThreadWorkspace() {
   return workspace;
 }
 
-/// Copies the rows the query relaxes into arrays contiguous in relax
-/// order, one pass over the CSR source. Sweeps run several times over the
-/// same order (up to max_sweeps), so paying one sequential copy turns
-/// every per-sweep parameter read from a road-indexed scatter into a
-/// stream — only the speeds gather stays irregular. Values are copied
-/// bit-for-bit; the kernels' arithmetic is unchanged.
-void PackRows(SweepContext& c, Workspace& ws) {
+/// Copies the rows the query relaxes (the slot's SoA parameters over the
+/// graph's CSR rows) into arrays contiguous in relax order, one pass.
+/// Sweeps run several times over the same order (up to max_sweeps), so
+/// paying one sequential copy turns every per-sweep parameter read from a
+/// road-indexed scatter into a stream — only the speeds gather stays
+/// irregular. Values are copied bit-for-bit; the arithmetic is unchanged.
+void PackRows(const rtf::RtfModel::SlotSoa& soa, const graph::Graph& graph,
+              Workspace& ws, SweepContext& c) {
+  const std::span<const size_t> row_offsets = graph.RowOffsets();
+  const std::span<const graph::RoadId> neighbor_ids = graph.NeighborIds();
   const size_t m = ws.order.size();
   ws.packed_offsets.resize(m + 1);
   ws.packed_mu.resize(m);
@@ -319,7 +190,7 @@ void PackRows(SweepContext& c, Workspace& ws) {
   size_t total = 0;
   for (size_t i = 0; i < m; ++i) {
     const size_t r = static_cast<size_t>(ws.order[i]);
-    total += c.row_offsets[r + 1] - c.row_offsets[r];
+    total += row_offsets[r + 1] - row_offsets[r];
   }
   ws.packed_ids.resize(total);
   ws.packed_w.resize(total);
@@ -328,19 +199,20 @@ void PackRows(SweepContext& c, Workspace& ws) {
   for (size_t i = 0; i < m; ++i) {
     const size_t r = static_cast<size_t>(ws.order[i]);
     ws.packed_offsets[i] = cursor;
-    ws.packed_mu[i] = c.mu_inv_var[r];
-    ws.packed_base[i] = c.num_base[r];
-    ws.packed_den[i] = c.inv_var_sum[r];
-    const size_t begin = c.row_offsets[r];
-    const size_t row = c.row_offsets[r + 1] - begin;
-    std::copy_n(c.neighbor_ids + begin, row, ws.packed_ids.data() + cursor);
-    std::copy_n(c.pair_inv_var + begin, row, ws.packed_w.data() + cursor);
-    std::copy_n(c.pair_mean + begin, row, ws.packed_m.data() + cursor);
+    ws.packed_mu[i] = soa.mu_inv_var[r];
+    ws.packed_base[i] = soa.num_base[r];
+    ws.packed_den[i] = soa.inv_var_sum[r];
+    const size_t begin = row_offsets[r];
+    const size_t row = row_offsets[r + 1] - begin;
+    std::copy_n(neighbor_ids.begin() + begin, row,
+                ws.packed_ids.data() + cursor);
+    std::copy_n(soa.pair_inv_var.begin() + begin, row,
+                ws.packed_w.data() + cursor);
+    std::copy_n(soa.pair_mean.begin() + begin, row,
+                ws.packed_m.data() + cursor);
     cursor += row;
   }
   ws.packed_offsets[m] = cursor;
-  c.order_base = ws.order.data();
-  c.order_size = m;
   c.packed_offsets = ws.packed_offsets.data();
   c.packed_ids = ws.packed_ids.data();
   c.packed_w = ws.packed_w.data();
@@ -350,97 +222,15 @@ void PackRows(SweepContext& c, Workspace& ws) {
   c.packed_den = ws.packed_den.data();
 }
 
-int RunSweepsSequential(const SweepContext& ctx, SweepSpanFn fn,
-                        const std::vector<graph::RoadId>& order,
-                        double epsilon, int max_sweeps, bool& converged) {
-  // Sequentially the level structure only fixes the visit order, and
-  // `order` is already level-contiguous: one span call per sweep.
+/// Sweeps until no road moves by epsilon or the sweep cap is hit.
+int RunSweeps(const SweepContext& ctx, SweepFn fn, double epsilon,
+              int max_sweeps, bool& converged) {
   converged = false;
   int sweeps = 0;
   while (sweeps < max_sweeps) {
     ++sweeps;
-    const double max_delta = fn(ctx, order.data(), order.size());
+    const double max_delta = fn(ctx);
     if (max_delta < epsilon) {
-      converged = true;
-      break;
-    }
-  }
-  return sweeps;
-}
-
-int RunSweepsParallel(SweepContext& ctx, SweepSpanFn fn, Workspace& ws,
-                      const std::vector<int64_t>& group_key, int64_t n,
-                      util::ThreadPool& pool, double epsilon, int max_sweeps,
-                      bool& converged) {
-  // Split every level segment into colour groups by sorting on
-  // (colour, RCM rank). Roads inside a group are mutually non-adjacent, so
-  // their update order is free — RCM rank order keeps concurrent updates
-  // inside overlapping cache lines.
-  ws.group_offsets.clear();
-  ws.group_offsets.push_back(0);
-  for (size_t l = 0; l + 1 < ws.level_offsets.size(); ++l) {
-    const int32_t begin = ws.level_offsets[l];
-    const int32_t end = ws.level_offsets[l + 1];
-    std::sort(ws.order.begin() + begin, ws.order.begin() + end,
-              [&](graph::RoadId a, graph::RoadId b) {
-                return group_key[static_cast<size_t>(a)] <
-                       group_key[static_cast<size_t>(b)];
-              });
-    for (int32_t k = begin + 1; k < end; ++k) {
-      const int64_t prev_color =
-          group_key[static_cast<size_t>(
-              ws.order[static_cast<size_t>(k - 1)])] /
-          n;
-      const int64_t color =
-          group_key[static_cast<size_t>(ws.order[static_cast<size_t>(k)])] /
-          n;
-      if (color != prev_color) ws.group_offsets.push_back(k);
-    }
-    ws.group_offsets.push_back(end);
-  }
-  // Pack only after the group sort above: it permutes ws.order, and the
-  // packed arrays must mirror the final relax order. The reference kernel
-  // (no SoA sources) reads roads through the accessors and needs no pack.
-  if (ctx.row_offsets != nullptr) PackRows(ctx, ws);
-
-  const auto merge_max = [](std::atomic<double>& target, double value) {
-    // Fully relaxed monotone-max join. Workers only publish candidates
-    // here; nobody reads max_delta until after the ParallelFor join, whose
-    // release/acquire pair on the pool's completion counter orders every
-    // relaxed store before the main thread's load. The CAS failure path
-    // reloads `current`, so the loop ends with target >= value; seq_cst
-    // would add fences without changing any permitted outcome.
-    double current = target.load(std::memory_order_relaxed);
-    while (value > current &&
-           !target.compare_exchange_weak(current, value,
-                                         std::memory_order_relaxed,
-                                         std::memory_order_relaxed)) {
-    }
-  };
-
-  converged = false;
-  int sweeps = 0;
-  while (sweeps < max_sweeps) {
-    ++sweeps;
-    std::atomic<double> max_delta{0.0};
-    for (size_t g = 0; g + 1 < ws.group_offsets.size(); ++g) {
-      const int32_t begin = ws.group_offsets[g];
-      const int32_t end = ws.group_offsets[g + 1];
-      const size_t len = static_cast<size_t>(end - begin);
-      if (len == 0) continue;
-      const graph::RoadId* roads =
-          ws.order.data() + static_cast<size_t>(begin);
-      // Tiny groups are cheaper inline than dispatched.
-      if (len < 32) {
-        merge_max(max_delta, fn(ctx, roads, len));
-        continue;
-      }
-      pool.ParallelFor(len, [&](size_t chunk_begin, size_t chunk_end) {
-        merge_max(max_delta,
-                  fn(ctx, roads + chunk_begin, chunk_end - chunk_begin));
-      });
-    }
-    if (max_delta.load(std::memory_order_relaxed) < epsilon) {
       converged = true;
       break;
     }
@@ -453,41 +243,6 @@ int RunSweepsParallel(SweepContext& ctx, SweepSpanFn fn, Workspace& ws,
 SpeedPropagator::SpeedPropagator(const rtf::RtfModel& model,
                                  GspOptions options)
     : model_(model), options_(options) {}
-
-SpeedPropagator::~SpeedPropagator() = default;
-
-bool SpeedPropagator::Avx2Supported() {
-#ifdef CROWDRTSE_GSP_X86
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-GspKernel SpeedPropagator::ResolveKernel(GspKernel requested) {
-  switch (requested) {
-    case GspKernel::kAuto:
-    case GspKernel::kAvx2:
-      return Avx2Supported() ? GspKernel::kAvx2 : GspKernel::kUnrolled;
-    default:
-      return requested;
-  }
-}
-
-void SpeedPropagator::EnsureColoring() const {
-  if (coloring_ != nullptr) return;
-  coloring_ = std::make_unique<graph::Coloring>(
-      graph::GreedyColoring(model_.graph()));
-  coloring_builds_.fetch_add(1, std::memory_order_relaxed);
-  const int n = model_.num_roads();
-  group_key_.resize(static_cast<size_t>(n));
-  for (graph::RoadId r = 0; r < n; ++r) {
-    group_key_[static_cast<size_t>(r)] =
-        static_cast<int64_t>(coloring_->color[static_cast<size_t>(r)]) *
-            static_cast<int64_t>(n) +
-        static_cast<int64_t>(model_.graph().RcmRank(r));
-  }
-}
 
 double SpeedPropagator::UpdateValue(int slot, graph::RoadId road,
                                     const std::vector<double>& speeds) const {
@@ -564,8 +319,6 @@ util::Result<GspResult> SpeedPropagator::PropagateFrom(
           ? std::min(ws.bfs.num_levels(), options_.hop_limit + 1)
           : ws.bfs.num_levels();
   ws.order.clear();
-  ws.level_offsets.clear();
-  ws.level_offsets.push_back(0);
   for (int l = 1; l < max_level; ++l) {
     const int32_t level_begin =
         ws.bfs.level_offsets[static_cast<size_t>(l)];
@@ -574,9 +327,6 @@ util::Result<GspResult> SpeedPropagator::PropagateFrom(
     for (int32_t k = level_begin; k < level_end; ++k) {
       const graph::RoadId r = ws.bfs.order[static_cast<size_t>(k)];
       if (!ws.is_sampled[static_cast<size_t>(r)]) ws.order.push_back(r);
-    }
-    if (static_cast<int32_t>(ws.order.size()) != ws.level_offsets.back()) {
-      ws.level_offsets.push_back(static_cast<int32_t>(ws.order.size()));
     }
   }
 
@@ -589,43 +339,20 @@ util::Result<GspResult> SpeedPropagator::PropagateFrom(
     return result;
   }
 
-  const GspKernel kernel = ResolveKernel(options_.kernel);
   SweepContext ctx;
   ctx.speeds = result.speeds.data();
-  if (kernel == GspKernel::kReference) {
+  ctx.order = ws.order.data();
+  ctx.order_size = ws.order.size();
+  SweepFn fn = &SweepReference;
+  if (options_.kernel == GspKernel::kReference) {
     ctx.model = &model_;
     ctx.slot = slot;
   } else {
-    const rtf::RtfModel::SlotSoa& soa = model_.Soa(slot);
-    ctx.mu_inv_var = soa.mu_inv_var.data();
-    ctx.pair_inv_var = soa.pair_inv_var.data();
-    ctx.pair_mean = soa.pair_mean.data();
-    ctx.inv_var_sum = soa.inv_var_sum.data();
-    ctx.num_base = soa.num_base.data();
-    ctx.row_offsets = model_.graph().RowOffsets().data();
-    ctx.neighbor_ids = model_.graph().NeighborIds().data();
+    PackRows(model_.Soa(slot), model_.graph(), ws, ctx);
+    fn = &SweepUnrolled;
   }
-  const SweepSpanFn fn = SelectSweepFn(kernel);
-
-  if (options_.num_threads > 1) {
-    // Colour once per propagator: within a level, same-colour roads are
-    // pairwise non-adjacent, so they may update concurrently without
-    // racing on a neighbour's value (the paper's parallelisation
-    // condition).
-    EnsureColoring();
-    const int num_threads = std::max(1, options_.num_threads);
-    if (!pool_ || pool_->num_threads() != num_threads) {
-      pool_ = std::make_unique<util::ThreadPool>(num_threads);
-    }
-    result.sweeps = RunSweepsParallel(
-        ctx, fn, ws, group_key_, static_cast<int64_t>(n), *pool_,
-        options_.epsilon, options_.max_sweeps, result.converged);
-  } else {
-    if (ctx.row_offsets != nullptr) PackRows(ctx, ws);
-    result.sweeps =
-        RunSweepsSequential(ctx, fn, ws.order, options_.epsilon,
-                            options_.max_sweeps, result.converged);
-  }
+  result.sweeps = RunSweeps(ctx, fn, options_.epsilon, options_.max_sweeps,
+                            result.converged);
   // ONE flight record per propagation (sweep count in the payload), never
   // per sweep: Propagate runs per query per shard while a sweep runs tens
   // of times inside it — per-iteration records would monopolize the ring.

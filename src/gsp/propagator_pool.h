@@ -13,16 +13,10 @@ namespace crowdrtse::gsp {
 
 /// A fixed set of SpeedPropagator instances handed out one-at-a-time.
 ///
-/// A parallel-GSP propagator owns a lazily created ThreadPool and is
-/// documented non-reentrant (propagation.h), so a serving layer that wants
-/// to run GSP for several queries at once needs one instance per in-flight
-/// propagation. Constructing a propagator per query would also spawn (and
-/// tear down) a thread pool per query; leasing from a fixed pool keeps the
-/// worker threads warm across queries, which is where the parallel
-/// configuration's latency win comes from.
-///
-/// Acquire() blocks until an instance is free, so the pool size doubles as
-/// a concurrency limiter on the GSP phase. All methods are thread-safe.
+/// Propagators are reentrant (propagation.h), so the pool does not guard
+/// them; its job is to bound how many GSP phases run at once. Acquire()
+/// blocks until an instance is free, so the pool size is the concurrency
+/// limit on the GSP phase. All methods are thread-safe.
 class PropagatorPool {
  public:
   /// Move-only RAII handle to a leased propagator; returns the instance to

@@ -44,7 +44,7 @@ struct ShardLayout {
 /// A K-way partition of a road network plus per-shard remapping tables.
 /// `owner[r]` is the shard answering for global road r; every road is
 /// owned by exactly one shard. `graph_checksum` pins the partition to the
-/// exact graph it was computed from (see partition_io).
+/// exact graph it was computed from (ShardedEngine refuses a mismatch).
 struct Partition {
   int num_roads = 0;
   int num_shards = 0;
@@ -61,7 +61,7 @@ struct Partition {
   /// Rebuilds every shard's derived tables (members, owned_local) from
   /// owned/halo and validates the whole structure: sizes, sortedness,
   /// owned/halo disjointness, and owner[] consistency with the shard owned
-  /// lists. Called by the partitioner and by partition_io loads.
+  /// lists. Called by the partitioner.
   util::Status BuildDerivedTables();
 
   /// max(owned size) / min(owned size) — the balance figure the partitioner

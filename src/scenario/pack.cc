@@ -397,30 +397,35 @@ util::Status ApplyEngineKey(Pack& pack, const std::string& key,
     if (key == "deadline_ms") pack.deadline_ms = *v;
     return util::Status::Ok();
   }
-  auto v = util::ParseInt(value);
-  if (!v.ok()) return v.status();
-  if (key == "campaign_budget") {
+  if (key == "campaign_budget") {  // < 0 = unlimited, so any value goes
+    auto v = util::ParseInt(value);
+    if (!v.ok()) return v.status();
     pack.campaign_budget = *v;
     return util::Status::Ok();
   }
-  if (key == "per_query_cap") {
-    pack.per_query_cap = *v;
-    return util::Status::Ok();
-  }
-  if (key == "cost_per_road") {
-    pack.cost_per_road = *v;
-    return util::Status::Ok();
-  }
-  if (key == "hop_radius") {
-    pack.hop_radius = *v;
-    return util::Status::Ok();
-  }
-  if (key == "gsp_hop_limit") {
-    pack.gsp_hop_limit = *v;
-    return util::Status::Ok();
-  }
-  if (key == "max_attempts") {
-    pack.max_attempts = *v;
+  // The integer knobs with a lower bound. The pack is outside input, so an
+  // out-of-range value fails here, naming its key, instead of later at
+  // offline build, dispatch or serve time (or being silently clamped).
+  struct BoundedKey {
+    const char* name;
+    int* field;
+    int min;
+  };
+  const BoundedKey bounded[] = {
+      {"per_query_cap", &pack.per_query_cap, 0},
+      {"cost_per_road", &pack.cost_per_road, 1},
+      {"hop_radius", &pack.hop_radius, 0},
+      {"gsp_hop_limit", &pack.gsp_hop_limit, 0},
+      {"max_attempts", &pack.max_attempts, 1},
+  };
+  for (const BoundedKey& bound : bounded) {
+    if (key != bound.name) continue;
+    auto v = util::ParseInt(value);
+    if (!v.ok() || *v < bound.min) {
+      return util::Status::InvalidArgument(
+          "'" + key + "' must be an integer >= " + std::to_string(bound.min));
+    }
+    *bound.field = *v;
     return util::Status::Ok();
   }
   return util::Status::InvalidArgument("unknown [engine] key '" + key + "'");
@@ -852,14 +857,7 @@ util::Result<std::vector<graph::RoadId>> ResolveRoads(
       if (center < 0) {
         return util::Status::NotFound("no road named '" + spec.center + "'");
       }
-      const graph::HopLevels levels =
-          graph::MultiSourceBfs(fixture.graph, {center});
-      const int max_hop = std::min(
-          spec.hops, static_cast<int>(levels.levels.size()) - 1);
-      for (int hop = 0; hop <= max_hop; ++hop) {
-        const auto& ring = levels.levels[static_cast<size_t>(hop)];
-        roads.insert(roads.end(), ring.begin(), ring.end());
-      }
+      roads = graph::RoadsWithinHops(fixture.graph, {center}, spec.hops);
       break;
     }
   }

@@ -549,7 +549,6 @@ util::Result<RunReport> RunScenario(const Pack& pack,
   config.prune_zero_gain_candidates = pack.prune_zero_gain;
   config.theta = pack.theta;
   config.gsp.hop_limit = pack.gsp_hop_limit;
-  config.gsp.num_threads = 1;  // replay determinism: sequential sweeps
 
   const crowd::CostModel costs =
       crowd::CostModel::Constant(fixture->graph.num_roads(),

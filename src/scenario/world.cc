@@ -135,16 +135,17 @@ util::Status ApplyIncident(const graph::Graph& graph, graph::RoadId road,
   if (severity <= 0.0 || severity >= 1.0) {
     return util::Status::InvalidArgument("incident severity must be in (0,1)");
   }
-  const graph::HopLevels levels =
-      graph::MultiSourceBfs(graph, {road});
+  graph::BfsLevels levels;
+  graph::MultiSourceBfsInto(graph, {road}, levels);
   const int last_slot =
       std::min(truth.num_slots(), from_slot + duration);
-  const int max_hop = std::min(spillover_hops,
-                               static_cast<int>(levels.levels.size()) - 1);
+  const int max_hop = std::min(spillover_hops, levels.num_levels() - 1);
   for (int hop = 0; hop <= max_hop; ++hop) {
     // Congestion spills outward at half strength per hop.
     const double factor = 1.0 - severity * std::pow(0.5, hop);
-    for (graph::RoadId r : levels.levels[static_cast<size_t>(hop)]) {
+    for (int32_t k = levels.level_offsets[static_cast<size_t>(hop)];
+         k < levels.level_offsets[static_cast<size_t>(hop) + 1]; ++k) {
+      const graph::RoadId r = levels.order[static_cast<size_t>(k)];
       for (int slot = from_slot; slot < last_slot; ++slot) {
         truth.At(slot, r) = std::max(min_speed, truth.At(slot, r) * factor);
       }

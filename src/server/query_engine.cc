@@ -352,9 +352,8 @@ util::Result<QueryResponse> QueryEngine::Serve(
   crowd_latency_->Record(response.crowd_millis);
   response.paid = round->total_paid;
 
-  // Step 3 — GSP over the roads that actually produced answers. Leases a
-  // propagator so concurrent queries never share a (non-reentrant)
-  // parallel propagator or respawn its thread pool.
+  // Step 3 — GSP over the roads that actually produced answers. Leasing a
+  // propagator bounds how many GSP phases run at once.
   timer.Reset();
   std::vector<double> probed;
   probed.reserve(round->probes.size());

@@ -37,8 +37,8 @@ namespace crowdrtse::server {
 /// Thread-safety: Serve may be called from any number of threads
 /// concurrently. Query ids are allocated atomically, the ledger reserves
 /// budget atomically, stats/metrics are internally synchronized, the GSP
-/// phase leases a propagator from a fixed pool (parallel-GSP propagators
-/// are non-reentrant, see gsp/propagation.h), and the crowd-simulation
+/// phase leases a propagator from a fixed pool (which bounds how many GSP
+/// phases run at once; see gsp/propagator_pool.h), and the crowd-simulation
 /// phase is serialized on an internal mutex (the simulator's RNG is
 /// stateful; a real crowd is asynchronous anyway). Lazy CCD refinement is
 /// safe under concurrent serving: CrowdRtse serializes it internally,

@@ -20,7 +20,8 @@ struct WorkerRegistryOptions {
   /// Per-slot probability that a worker logs off; an equal-size inflow
   /// keeps the population stationary.
   double churn_probability = 0.02;
-  /// Answer quality spread (as crowd::WorkerPoolOptions).
+  /// Answer quality spread: each worker draws a multiplicative bias and a
+  /// noise level uniformly from these ranges.
   double min_bias = 0.96;
   double max_bias = 1.04;
   double min_noise_kmh = 0.5;

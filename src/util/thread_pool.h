@@ -13,12 +13,10 @@
 
 namespace crowdrtse::util {
 
-/// Fixed-size worker pool for data-parallel loops. Parallel GSP runs one
-/// ParallelFor per (BFS level, colour class) per sweep; spawning threads —
-/// or even taking a mutex — at that granularity would dominate the
-/// propagation itself, so dispatch is lock-free (a job counter the hot
-/// workers spin on) and workers only park on a condition variable after an
-/// idle spell.
+/// Fixed-size worker pool for data-parallel loops: the Gamma_R closure
+/// fans its per-source Dijkstra runs out over it, and the CCD trainer its
+/// per-slot work. Dispatch is lock-free (a job counter the hot workers spin
+/// on) and workers only park on a condition variable after an idle spell.
 ///
 /// Not a general task scheduler: one ParallelFor runs at a time, invoked
 /// from a single caller thread, which also participates in the work.

@@ -12,7 +12,7 @@
 #include "core/crowd_rtse.h"
 #include "eval/metrics.h"
 #include "graph/generators.h"
-#include "rtf/moment_accumulator.h"
+#include "rtf/moment_estimator.h"
 #include "server/budget_ledger.h"
 #include "server/query_engine.h"
 #include "server/worker_registry.h"
@@ -107,14 +107,21 @@ TEST(DayInTheLifeTest, FullServiceDay) {
   EXPECT_EQ(registry.num_workers(), 500);
 
   // --- nightly model refresh -------------------------------------------------
-  rtf::MomentAccumulator accumulator(network, traffic::kSlotsPerDay,
-                                     /*slot_window=*/1);
-  ASSERT_TRUE(accumulator.AbsorbHistory(history).ok());
-  ASSERT_TRUE(accumulator.AbsorbDay(today).ok());
-  const auto refreshed = accumulator.EmitModel();
+  // Re-estimate the RTF over the history plus today's observations.
+  traffic::HistoryStore extended(network.num_roads(), history.num_days() + 1,
+                                 history.num_slots());
+  for (int day = 0; day < history.num_days(); ++day) {
+    for (int slot = 0; slot < history.num_slots(); ++slot) {
+      for (graph::RoadId r = 0; r < network.num_roads(); ++r) {
+        extended.At(day, slot, r) = history.At(day, slot, r);
+      }
+    }
+  }
+  ASSERT_TRUE(extended.SetDay(history.num_days(), today).ok());
+  const auto refreshed = rtf::EstimateByMoments(network, extended);
   ASSERT_TRUE(refreshed.ok());
   EXPECT_TRUE(refreshed->Validate().ok());
-  EXPECT_EQ(accumulator.num_days_absorbed(), 11);
+  EXPECT_EQ(extended.num_days(), 11);
 }
 
 }  // namespace

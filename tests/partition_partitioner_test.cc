@@ -5,13 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "graph/bfs.h"
 #include "graph/generators.h"
-#include "graph/graph_io.h"
-#include "partition/partition_io.h"
 #include "rtf/correlation_table.h"
 #include "util/rng.h"
 
@@ -189,75 +186,6 @@ TEST(PartitionerTest, RejectsBadOptions) {
   options.halo_radius = 2;
   EXPECT_FALSE(
       PartitionByGeography(g, {{0.0, 0.0}}, options).ok());  // size mismatch
-}
-
-TEST(PartitionIoTest, RoundTripsThroughDisk) {
-  std::vector<std::pair<double, double>> positions;
-  const graph::Graph g = MakeWorld(&positions, 200);
-  PartitionerOptions options;
-  options.num_shards = 4;
-  options.seed = 7;
-  options.halo_radius = 3;
-  const auto partition = PartitionByGeography(g, positions, options);
-  ASSERT_TRUE(partition.ok());
-  const std::string path = ::testing::TempDir() + "/partition_roundtrip.bin";
-  ASSERT_TRUE(SavePartition(path, *partition).ok());
-  const auto loaded = LoadPartition(path, g);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_roads, partition->num_roads);
-  EXPECT_EQ(loaded->num_shards, partition->num_shards);
-  EXPECT_EQ(loaded->halo_radius, partition->halo_radius);
-  EXPECT_EQ(loaded->seed, partition->seed);
-  EXPECT_EQ(loaded->graph_checksum, partition->graph_checksum);
-  EXPECT_EQ(loaded->owner, partition->owner);
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(loaded->shards[s].owned, partition->shards[s].owned);
-    EXPECT_EQ(loaded->shards[s].halo, partition->shards[s].halo);
-    EXPECT_EQ(loaded->shards[s].members, partition->shards[s].members);
-  }
-}
-
-TEST(PartitionIoTest, RejectsTableFromDifferentRoadCount) {
-  std::vector<std::pair<double, double>> positions;
-  const graph::Graph g = MakeWorld(&positions, 200);
-  PartitionerOptions options;
-  options.num_shards = 2;
-  const auto partition = PartitionByGeography(g, positions, options);
-  ASSERT_TRUE(partition.ok());
-  const std::string path = ::testing::TempDir() + "/partition_wrong_n.bin";
-  ASSERT_TRUE(SavePartition(path, *partition).ok());
-
-  std::vector<std::pair<double, double>> other_positions;
-  const graph::Graph other = MakeWorld(&other_positions, 100);
-  const auto loaded = LoadPartition(path, other);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("different map"),
-            std::string::npos)
-      << loaded.status().message();
-}
-
-TEST(PartitionIoTest, RejectsTableFromDifferentEdgeSet) {
-  std::vector<std::pair<double, double>> positions;
-  const graph::Graph g = MakeWorld(&positions, 200);
-  PartitionerOptions options;
-  options.num_shards = 2;
-  const auto partition = PartitionByGeography(g, positions, options);
-  ASSERT_TRUE(partition.ok());
-  const std::string path = ::testing::TempDir() + "/partition_wrong_edges.bin";
-  ASSERT_TRUE(SavePartition(path, *partition).ok());
-
-  // Same road count, different wiring: another RNG stream reshuffles the
-  // nearest-neighbour edges, so the checksum moves.
-  util::Rng rng(99);
-  graph::RoadNetworkOptions net;
-  net.num_roads = 200;
-  const graph::Graph other = *graph::RoadNetwork(net, rng);
-  ASSERT_NE(graph::EdgeListChecksum(other), partition->graph_checksum);
-  const auto loaded = LoadPartition(path, other);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("different edge set"),
-            std::string::npos)
-      << loaded.status().message();
 }
 
 }  // namespace

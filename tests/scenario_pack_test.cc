@@ -213,6 +213,38 @@ TEST(PackParserTest, RejectsBadRoadsSpecAndBadRates) {
                    .ok());
 }
 
+// Every bounded [engine] integer is rejected at parse time, naming its key;
+// the bound itself still parses.
+TEST(PackParserTest, RejectsOutOfRangeEngineIntegers) {
+  struct Row {
+    const char* key;
+    const char* bad;
+    const char* lowest_ok;
+  };
+  const Row rows[] = {
+      {"hop_radius", "-1", "0"},    {"gsp_hop_limit", "-1", "0"},
+      {"per_query_cap", "-1", "0"}, {"cost_per_road", "0", "1"},
+      {"max_attempts", "0", "1"},
+  };
+  for (const Row& row : rows) {
+    const std::string line = std::string(row.key) + " = ";
+    const auto rejected =
+        ParsePack(std::string(kMinimal) + "[engine]\n" + line + row.bad + "\n");
+    ASSERT_FALSE(rejected.ok()) << row.key;
+    EXPECT_NE(rejected.status().message().find(row.key), std::string::npos)
+        << rejected.status().message();
+    EXPECT_TRUE(ParsePack(std::string(kMinimal) + "[engine]\n" + line +
+                          row.lowest_ok + "\n")
+                    .ok())
+        << row.key;
+  }
+  // campaign_budget < 0 keeps meaning "unlimited".
+  const auto unlimited =
+      ParsePack(std::string(kMinimal) + "[engine]\ncampaign_budget = -5\n");
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  EXPECT_EQ(unlimited->campaign_budget, -5);
+}
+
 TEST(PackParserTest, ResolveRoadsAgainstFixture) {
   auto pack = ParsePack(kFullPack);
   ASSERT_TRUE(pack.ok());

@@ -35,10 +35,8 @@ class ConcurrentEngineTest : public ::testing::Test {
                                                        traffic_options, 5);
     history_ = sim_->GenerateHistory();
     truth_ = sim_->GenerateEvaluationDay();
-    core::CrowdRtseConfig config;
-    config.gsp.num_threads = 2;  // exercise the non-reentrant parallel GSP
     system_ = std::make_unique<core::CrowdRtse>(
-        *core::CrowdRtse::BuildOffline(graph_, history_, config));
+        *core::CrowdRtse::BuildOffline(graph_, history_, {}));
     WorkerRegistryOptions registry_options;
     registry_options.num_workers = 600;
     registry_ = std::make_unique<WorkerRegistry>(graph_, registry_options,

@@ -45,7 +45,6 @@ class ShardedEngineTest : public ::testing::Test {
 
     config_.correlation_hop_radius = kHopC;
     config_.gsp.hop_limit = kHopH;
-    config_.gsp.num_threads = 1;
     config_.prune_zero_gain_candidates = true;
     config_.refine_with_ccd = false;
 
