@@ -121,7 +121,6 @@ TEST(DayInTheLifeTest, FullServiceDay) {
   const auto refreshed = rtf::EstimateByMoments(network, extended);
   ASSERT_TRUE(refreshed.ok());
   EXPECT_TRUE(refreshed->Validate().ok());
-  EXPECT_EQ(extended.num_days(), 11);
 }
 
 }  // namespace
