@@ -1,8 +1,10 @@
 #include "core/crowd_rtse.h"
 
+#include "graph/bfs.h"
 #include "gsp/uncertainty.h"
 #include "util/trace.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -182,6 +184,33 @@ std::vector<double> CrowdRtse::PeriodicMeans(
   return means;
 }
 
+std::vector<graph::RoadId> PositiveGainCandidates(
+    const graph::Graph& graph, const rtf::CorrelationTable& table,
+    const std::vector<graph::RoadId>& queried_roads,
+    const std::vector<graph::RoadId>& worker_roads) {
+  // Roads that can correlate with the query: every road (dense table) or
+  // the query's C-hop ball, sorted for a membership test.
+  std::vector<graph::RoadId> ball;
+  const bool sparse = table.hop_radius() > 0;
+  if (sparse) {
+    ball = graph::RoadsWithinHops(graph, queried_roads, table.hop_radius());
+    std::sort(ball.begin(), ball.end());
+  }
+  std::vector<graph::RoadId> kept;
+  for (graph::RoadId c : worker_roads) {
+    if (c < 0 || c >= table.num_roads()) {
+      kept.push_back(c);
+      continue;
+    }
+    if (sparse && (ball.empty() || c < ball.front() || c > ball.back() ||
+                   !std::binary_search(ball.begin(), ball.end(), c))) {
+      continue;
+    }
+    if (table.RoadSetCorr(c, queried_roads) > 0.0) kept.push_back(c);
+  }
+  return kept;
+}
+
 util::Result<ocs::OcsSolution> CrowdRtse::SelectRoads(
     int slot, const std::vector<graph::RoadId>& queried_roads,
     const std::vector<graph::RoadId>& worker_roads,
@@ -203,15 +232,8 @@ util::Result<ocs::OcsSolution> CrowdRtse::SelectRoads(
   // With an invalid queried set, skip pruning and let OcsProblem::Create
   // produce its usual rejection.
   if (config_.prune_zero_gain_candidates && queried_in_range) {
-    pruned.reserve(worker_roads.size());
-    for (graph::RoadId c : worker_roads) {
-      // Out-of-range ids pass through so OcsProblem::Create still rejects
-      // them with its usual error instead of a silent drop.
-      if (c < 0 || c >= (*table)->num_roads() ||
-          (*table)->RoadSetCorr(c, queried_roads) > 0.0) {
-        pruned.push_back(c);
-      }
-    }
+    pruned = PositiveGainCandidates(*graph_, **table, queried_roads,
+                                    worker_roads);
     candidates = &pruned;
   }
   util::Result<ocs::OcsProblem> problem = ocs::OcsProblem::Create(

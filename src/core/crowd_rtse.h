@@ -84,6 +84,20 @@ enum class SelectorKind {
   kLazyHybridGreedy,
 };
 
+/// The OCS candidates that can add coverage: the roads of `worker_roads`,
+/// in the caller's order, whose road-set correlation to `queried_roads` is
+/// positive (CrowdRtseConfig::prune_zero_gain_candidates). Out-of-range ids
+/// pass through so OcsProblem::Create still rejects them. `queried_roads`
+/// must be in range and `graph` must be the graph `table` was built on.
+/// With a sparse table (hop radius C > 0) only roads within C hops of the
+/// queried set are scored: the table is exactly 0 beyond C hops and hop
+/// distance is symmetric, so the result equals a full scan while the
+/// correlation lookups scale with the query's C-hop ball, not the city.
+std::vector<graph::RoadId> PositiveGainCandidates(
+    const graph::Graph& graph, const rtf::CorrelationTable& table,
+    const std::vector<graph::RoadId>& queried_roads,
+    const std::vector<graph::RoadId>& worker_roads);
+
 /// The CrowdRTSE system façade (paper Fig. 1):
 ///
 ///   offline:  BuildOffline() trains the RTF over the historical record and

@@ -69,24 +69,30 @@ util::Result<CrowdRound> CrowdSimulator::ProbeWithAssignments(
     return util::Status::OutOfRange("slot out of range: " +
                                     std::to_string(slot));
   }
-  std::map<WorkerId, const Worker*> by_id;
-  for (const Worker& w : workers) by_id[w.id] = &w;
+  // Resolve only the plan's worker ids, in one pass over the population.
+  std::vector<WorkerId> ids;
+  ids.reserve(plan.assignments.size());
+  for (const TaskAssignment& task : plan.assignments) {
+    ids.push_back(task.worker);
+  }
+  const std::vector<const Worker*> assigned =
+      GatherWorkers(ids, {}, workers).by_id;
 
   // Generate one answer per assignment, grouped by road.
   std::map<graph::RoadId, std::vector<SpeedAnswer>> answers_by_road;
   CrowdRound round;
-  for (const TaskAssignment& task : plan.assignments) {
+  for (size_t i = 0; i < plan.assignments.size(); ++i) {
+    const TaskAssignment& task = plan.assignments[i];
     if (task.road < 0 || task.road >= truth.num_roads()) {
       return util::Status::InvalidArgument("assigned road out of range: " +
                                            std::to_string(task.road));
     }
-    const auto it = by_id.find(task.worker);
-    if (it == by_id.end()) {
+    if (assigned[i] == nullptr) {
       return util::Status::InvalidArgument(
           "assignment references unknown worker " +
           std::to_string(task.worker));
     }
-    const Worker& worker = *it->second;
+    const Worker& worker = *assigned[i];
     const SpeedAnswer answer =
         GenerateAnswer(worker, task.road, truth, slot);
     answers_by_road[task.road].push_back(answer);

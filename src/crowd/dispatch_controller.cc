@@ -23,9 +23,10 @@ int64_t MsToUs(double ms) { return static_cast<int64_t>(ms * 1e3); }
 
 struct Task {
   graph::RoadId road = graph::kInvalidRoad;
+  size_t spare_pool = 0;     // index of the road's replacement pool
   int attempts_used = 0;     // dispatches so far
   int active_attempt = 0;    // 1-based; deadline events for older ones stale
-  WorkerId current_worker = -1;
+  const Worker* current_worker = nullptr;  // the active attempt's worker
   bool resolved = false;
   bool answered = false;
   int deadline_failures = 0;
@@ -93,10 +94,23 @@ util::Result<DispatchRound> DispatchController::Run(
     return util::Status::InvalidArgument(
         "dispatch needs max_attempts >= 1 and a positive deadline");
   }
-  std::map<WorkerId, const Worker*> by_id;
-  for (const Worker& w : workers) by_id[w.id] = &w;
-  for (const TaskAssignment& task : plan.assignments) {
-    if (by_id.find(task.worker) == by_id.end()) {
+  // One pass over the population resolves the plan's worker ids and fills
+  // the replacement pools for straggler reassignment: every worker on a
+  // selected road who was not hired by the plan, cleanest first (the same
+  // order AssignTasks hires in, so a reassignment hires the next-best).
+  std::vector<WorkerId> hired;
+  hired.reserve(plan.assignments.size());
+  for (const TaskAssignment& t : plan.assignments) hired.push_back(t.worker);
+  std::vector<graph::RoadId> selected;
+  for (const TaskAssignment& t : plan.assignments) selected.push_back(t.road);
+  for (graph::RoadId r : plan.underfilled_roads) selected.push_back(r);
+  std::sort(selected.begin(), selected.end());
+  selected.erase(std::unique(selected.begin(), selected.end()),
+                 selected.end());
+  const RoundWorkers gathered = GatherWorkers(hired, selected, workers);
+  for (size_t i = 0; i < plan.assignments.size(); ++i) {
+    const TaskAssignment& task = plan.assignments[i];
+    if (gathered.by_id[i] == nullptr) {
       return util::Status::InvalidArgument(
           "assignment references unknown worker " +
           std::to_string(task.worker));
@@ -107,34 +121,8 @@ util::Result<DispatchRound> DispatchController::Run(
           std::to_string(task.road));
     }
   }
-
-  // Replacement pools for straggler reassignment: every worker on a
-  // selected road who was not hired by the plan, cleanest first (the same
-  // order AssignTasks hires in, so a reassignment hires the next-best).
-  std::map<graph::RoadId, std::vector<const Worker*>> spares;
-  {
-    std::map<WorkerId, bool> hired;
-    std::map<graph::RoadId, bool> selected;
-    for (const TaskAssignment& t : plan.assignments) {
-      hired[t.worker] = true;
-      selected[t.road] = true;
-    }
-    for (graph::RoadId r : plan.underfilled_roads) selected[r] = true;
-    for (const Worker& w : workers) {
-      if (selected.count(w.road) != 0 && hired.count(w.id) == 0) {
-        spares[w.road].push_back(&w);
-      }
-    }
-    for (auto& [road, bucket] : spares) {
-      std::sort(bucket.begin(), bucket.end(),
-                [](const Worker* a, const Worker* b) {
-                  return a->noise_kmh != b->noise_kmh
-                             ? a->noise_kmh < b->noise_kmh
-                             : a->id < b->id;
-                });
-    }
-  }
-  std::map<graph::RoadId, size_t> next_spare;
+  const std::vector<std::vector<const Worker*>>& spares = gathered.on_road;
+  std::vector<size_t> next_spare(selected.size(), 0);  // per spare pool
 
   DispatchRound out;
   std::vector<Task> tasks;
@@ -203,7 +191,7 @@ util::Result<DispatchRound> DispatchController::Run(
     Task& task = tasks[static_cast<size_t>(task_index)];
     task.attempts_used = attempt;
     task.active_attempt = attempt;
-    task.current_worker = worker.id;
+    task.current_worker = &worker;
 
     DispatchAttempt log;
     log.road = task.road;
@@ -269,12 +257,15 @@ util::Result<DispatchRound> DispatchController::Run(
   for (const TaskAssignment& assignment : plan.assignments) {
     Task task;
     task.road = assignment.road;
+    task.spare_pool = static_cast<size_t>(
+        std::lower_bound(selected.begin(), selected.end(), task.road) -
+        selected.begin());
     tasks.push_back(task);
   }
   out.stats.tasks = static_cast<int>(tasks.size());
   for (size_t i = 0; i < plan.assignments.size(); ++i) {
-    dispatch(static_cast<int>(i), *by_id.at(plan.assignments[i].worker),
-             /*attempt=*/1, t0, /*reassigned=*/false);
+    dispatch(static_cast<int>(i), *gathered.by_id[i], /*attempt=*/1, t0,
+             /*reassigned=*/false);
   }
 
   std::map<graph::RoadId, std::vector<SpeedAnswer>> accepted;
@@ -309,17 +300,15 @@ util::Result<DispatchRound> DispatchController::Run(
       backoff_ms *= 1.0 + options_.backoff_jitter * (2.0 * u - 1.0);
     }
     ++out.stats.retries;
-    const Worker* next_worker = by_id.at(task.current_worker);
+    const Worker* next_worker = task.current_worker;
     bool reassigned = false;
     if (options_.reassign_stragglers) {
-      auto it = spares.find(task.road);
-      if (it != spares.end()) {
-        size_t& cursor = next_spare[task.road];
-        if (cursor < it->second.size()) {
-          next_worker = it->second[cursor++];
-          reassigned = true;
-          ++out.stats.reassignments;
-        }
+      const std::vector<const Worker*>& pool = spares[task.spare_pool];
+      size_t& cursor = next_spare[task.spare_pool];
+      if (cursor < pool.size()) {
+        next_worker = pool[cursor++];
+        reassigned = true;
+        ++out.stats.reassignments;
       }
     }
     dispatch(task_index, *next_worker, task.attempts_used + 1,
@@ -407,13 +396,6 @@ util::Result<DispatchRound> DispatchController::Run(
     failures[task.road].second += task.outlier_failures;
     ++staffed[task.road];
   }
-  std::vector<graph::RoadId> selected;
-  for (const TaskAssignment& t : plan.assignments) selected.push_back(t.road);
-  for (graph::RoadId r : plan.underfilled_roads) selected.push_back(r);
-  std::sort(selected.begin(), selected.end());
-  selected.erase(std::unique(selected.begin(), selected.end()),
-                 selected.end());
-
   for (graph::RoadId road : selected) {
     const auto it = accepted.find(road);
     const int num_accepted =

@@ -29,6 +29,24 @@ struct AssignmentPlan {
   bool FullyStaffed() const { return underfilled_roads.empty(); }
 };
 
+/// The workers one crowdsourcing round touches, gathered in one sequential
+/// pass over the population with no per-worker or per-road map:
+///  - by_id[i] points at the last worker whose id is ids[i] (a later
+///    duplicate wins), or is null when no worker carries that id;
+///  - on_road[j] lists the workers standing on roads[j] whose id is not in
+///    `ids`, cleanest reporters first: ascending (noise_kmh, id).
+struct RoundWorkers {
+  std::vector<const Worker*> by_id;
+  std::vector<std::vector<const Worker*>> on_road;
+};
+
+/// Fills RoundWorkers for `ids` and `roads` (which must be distinct).
+/// Each worker is tested against small sorted copies of both lists, so the
+/// cost is linear in the population and independent of the road count.
+RoundWorkers GatherWorkers(const std::vector<WorkerId>& ids,
+                           const std::vector<graph::RoadId>& roads,
+                           const std::vector<Worker>& workers);
+
 /// Matches the OCS-selected roads to concrete workers: each selected road
 /// needs cost_i answers, each worker can take at most one task per round
 /// (she is driving — one report per slot). Workers are taken in ascending

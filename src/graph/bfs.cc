@@ -6,7 +6,7 @@ namespace crowdrtse::graph {
 
 void MultiSourceBfsInto(const Graph& graph,
                         const std::vector<RoadId>& sources,
-                        BfsLevels& out) {
+                        BfsLevels& out, int max_hops) {
   out.hops.assign(static_cast<size_t>(graph.num_roads()), -1);
   out.order.clear();
   out.level_offsets.clear();
@@ -26,6 +26,8 @@ void MultiSourceBfsInto(const Graph& graph,
   while (head < out.order.size()) {
     const RoadId r = out.order[head++];
     const int next_hop = out.hops[static_cast<size_t>(r)] + 1;
+    // FIFO order: every road still queued is at least as deep as r.
+    if (max_hops >= 0 && next_hop > max_hops) break;
     for (const Adjacency& adj : graph.Neighbors(r)) {
       if (out.hops[static_cast<size_t>(adj.neighbor)] != -1) continue;
       out.hops[static_cast<size_t>(adj.neighbor)] = next_hop;
@@ -44,11 +46,7 @@ std::vector<RoadId> RoadsWithinHops(const Graph& graph,
                                     int max_hops) {
   if (max_hops < 0) return {};
   BfsLevels levels;
-  MultiSourceBfsInto(graph, sources, levels);
-  if (max_hops + 1 < levels.num_levels()) {
-    levels.order.resize(static_cast<size_t>(
-        levels.level_offsets[static_cast<size_t>(max_hops) + 1]));
-  }
+  MultiSourceBfsInto(graph, sources, levels, max_hops);
   return std::move(levels.order);
 }
 

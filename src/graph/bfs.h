@@ -32,9 +32,12 @@ struct BfsLevels {
 
 /// Multi-source BFS writing into `out`'s existing buffers (cleared, not
 /// reallocated, when capacities suffice). Duplicate sources are tolerated.
+/// With `max_hops` >= 0 the traversal stops expanding at that depth: roads
+/// farther away keep hops == -1 and levels end at `max_hops`. A negative
+/// `max_hops` walks every reachable road.
 void MultiSourceBfsInto(const Graph& graph,
                         const std::vector<RoadId>& sources,
-                        BfsLevels& out);
+                        BfsLevels& out, int max_hops = -1);
 
 /// Roads within `max_hops` of any of `sources` (the sources themselves are
 /// 0 hops away and included), in BFS discovery order. Used for the paper's

@@ -312,14 +312,13 @@ util::Result<GspResult> SpeedPropagator::PropagateFrom(
 
   // Schedule: BFS hop levels from the sampled roads; level 0 (the samples
   // themselves) stays fixed, deeper levels update in ascending hop order.
-  graph::MultiSourceBfsInto(model_.graph(), sampled_roads, ws.bfs);
+  // A hop limit H stops the BFS at level H: nothing deeper is relaxed.
+  graph::MultiSourceBfsInto(
+      model_.graph(), sampled_roads, ws.bfs,
+      options_.hop_limit > 0 ? options_.hop_limit : -1);
   result.hops = ws.bfs.hops;
-  const int max_level =
-      options_.hop_limit > 0
-          ? std::min(ws.bfs.num_levels(), options_.hop_limit + 1)
-          : ws.bfs.num_levels();
   ws.order.clear();
-  for (int l = 1; l < max_level; ++l) {
+  for (int l = 1; l < ws.bfs.num_levels(); ++l) {
     const int32_t level_begin =
         ws.bfs.level_offsets[static_cast<size_t>(l)];
     const int32_t level_end =

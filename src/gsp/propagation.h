@@ -49,8 +49,9 @@ struct GspResult {
   std::vector<double> speeds;
   int sweeps = 0;
   bool converged = false;
-  /// Hop distance of each road from the sampled set (-1 = unreachable;
-  /// unreachable roads keep their periodic mean).
+  /// Hop distance of each road from the sampled set (-1 = unreachable, or
+  /// farther than a positive GspOptions::hop_limit; such roads keep their
+  /// initial value — the periodic mean or the warm start).
   std::vector<int> hops;
 };
 

@@ -1,8 +1,9 @@
 #include "server/worker_registry.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
+
+#include "util/logging.h"
 
 namespace crowdrtse::server {
 
@@ -10,10 +11,13 @@ WorkerRegistry::WorkerRegistry(const graph::Graph& graph,
                                const WorkerRegistryOptions& options,
                                uint64_t seed)
     : graph_(graph), options_(options), rng_(seed) {
-  workers_.reserve(static_cast<size_t>(options.num_workers));
-  for (int i = 0; i < options.num_workers; ++i) {
-    workers_.push_back(SpawnWorker(next_id_++));
+  if (graph_.num_roads() > 0) {
+    workers_.reserve(static_cast<size_t>(options.num_workers));
+    for (int i = 0; i < options.num_workers; ++i) {
+      workers_.push_back(SpawnWorker(next_id_++));
+    }
   }
+  IndexWorkers();
 }
 
 WorkerRegistry::WorkerRegistry(const graph::Graph& graph,
@@ -22,14 +26,19 @@ WorkerRegistry::WorkerRegistry(const graph::Graph& graph,
                                uint64_t seed)
     : graph_(graph), options_(options), rng_(seed),
       workers_(std::move(workers)) {
-  for (const crowd::Worker& w : workers_) {
-    next_id_ = std::max(next_id_, w.id + 1);
-  }
+  IndexWorkers();
 }
 
 void WorkerRegistry::ReplaceWorkers(std::vector<crowd::Worker> workers) {
   workers_ = std::move(workers);
+  IndexWorkers();
+}
+
+void WorkerRegistry::IndexWorkers() {
+  workers_on_road_.assign(static_cast<size_t>(graph_.num_roads()), 0);
   for (const crowd::Worker& w : workers_) {
+    CROWDRTSE_CHECK(graph_.IsValidRoad(w.road));
+    ++workers_on_road_[static_cast<size_t>(w.road)];
     next_id_ = std::max(next_id_, w.id + 1);
   }
 }
@@ -37,10 +46,8 @@ void WorkerRegistry::ReplaceWorkers(std::vector<crowd::Worker> workers) {
 crowd::Worker WorkerRegistry::SpawnWorker(crowd::WorkerId id) {
   crowd::Worker w;
   w.id = id;
-  w.road = graph_.num_roads() > 0
-               ? static_cast<graph::RoadId>(rng_.UniformUint64(
-                     static_cast<uint64_t>(graph_.num_roads())))
-               : graph::kInvalidRoad;
+  w.road = static_cast<graph::RoadId>(
+      rng_.UniformUint64(static_cast<uint64_t>(graph_.num_roads())));
   w.bias = rng_.UniformDouble(options_.min_bias, options_.max_bias);
   w.noise_kmh =
       rng_.UniformDouble(options_.min_noise_kmh, options_.max_noise_kmh);
@@ -50,12 +57,11 @@ crowd::Worker WorkerRegistry::SpawnWorker(crowd::WorkerId id) {
 void WorkerRegistry::AdvanceSlot() {
   ++slot_offset_;
   for (crowd::Worker& w : workers_) {
+    const graph::RoadId from = w.road;
     if (rng_.Bernoulli(options_.churn_probability)) {
       // Worker logs off; a fresh one logs on somewhere else.
       w = SpawnWorker(next_id_++);
-      continue;
-    }
-    if (rng_.Bernoulli(options_.move_probability)) {
+    } else if (rng_.Bernoulli(options_.move_probability)) {
       const auto neighbors = graph_.Neighbors(w.road);
       if (!neighbors.empty()) {
         w.road = neighbors[static_cast<size_t>(
@@ -63,40 +69,40 @@ void WorkerRegistry::AdvanceSlot() {
                      .neighbor;
       }
     }
+    if (w.road != from) {
+      --workers_on_road_[static_cast<size_t>(from)];
+      ++workers_on_road_[static_cast<size_t>(w.road)];
+    }
   }
 }
 
 std::vector<graph::RoadId> WorkerRegistry::CoveredRoads(
     int min_workers) const {
-  std::map<graph::RoadId, int> counts;
-  for (const crowd::Worker& w : workers_) ++counts[w.road];
+  const int threshold = std::max(1, min_workers);
   std::vector<graph::RoadId> covered;
-  for (const auto& [road, count] : counts) {
-    if (count >= min_workers) covered.push_back(road);
+  for (graph::RoadId r = 0; r < graph_.num_roads(); ++r) {
+    if (workers_on_road_[static_cast<size_t>(r)] >= threshold) {
+      covered.push_back(r);
+    }
   }
   return covered;
 }
 
 std::vector<graph::RoadId> WorkerRegistry::StaffableRoads(
     const crowd::CostModel& costs) const {
-  std::map<graph::RoadId, int> counts;
-  for (const crowd::Worker& w : workers_) ++counts[w.road];
+  const graph::RoadId end = std::min(graph_.num_roads(), costs.num_roads());
   std::vector<graph::RoadId> staffable;
-  for (const auto& [road, count] : counts) {
-    if (road >= 0 && road < costs.num_roads() &&
-        count >= costs.Cost(road)) {
-      staffable.push_back(road);
-    }
+  for (graph::RoadId r = 0; r < end; ++r) {
+    const int count = workers_on_road_[static_cast<size_t>(r)];
+    if (count > 0 && count >= costs.Cost(r)) staffable.push_back(r);
   }
   return staffable;
 }
 
 int WorkerRegistry::CountOn(graph::RoadId road) const {
-  int count = 0;
-  for (const crowd::Worker& w : workers_) {
-    if (w.road == road) ++count;
-  }
-  return count;
+  return graph_.IsValidRoad(road)
+             ? workers_on_road_[static_cast<size_t>(road)]
+             : 0;
 }
 
 std::vector<const crowd::Worker*> WorkerRegistry::WorkersOn(

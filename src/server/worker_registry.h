@@ -33,10 +33,18 @@ struct WorkerRegistryOptions {
 /// roads "where workers are currently distributed" — this registry is the
 /// source of that R^w, and it changes from slot to slot as workers travel
 /// (the reason fixed-observation-site regression baselines break down).
+///
+/// Alongside the worker vector the registry keeps one count of workers per
+/// road of the graph. The constructors and ReplaceWorkers rebuild it;
+/// AdvanceSlot moves it by +-1 in the same loop that moves or churns each
+/// worker. CoveredRoads, StaffableRoads and CountOn read those counts, so
+/// they never walk the worker population. Every worker's road must lie in
+/// [0, graph.num_roads()); the constructors and ReplaceWorkers check it.
 class WorkerRegistry {
  public:
-  /// Spawns the initial population uniformly over the network's roads.
-  /// The graph must outlive the registry.
+  /// Spawns the initial population uniformly over the network's roads (no
+  /// workers at all on a graph without roads). The graph must outlive the
+  /// registry.
   WorkerRegistry(const graph::Graph& graph,
                  const WorkerRegistryOptions& options, uint64_t seed);
 
@@ -61,8 +69,8 @@ class WorkerRegistry {
   int num_workers() const { return static_cast<int>(workers_.size()); }
   const std::vector<crowd::Worker>& workers() const { return workers_; }
 
-  /// Distinct roads currently hosting at least `min_workers` workers —
-  /// the candidate set R^w for OCS.
+  /// Distinct roads currently hosting at least `min_workers` (and at least
+  /// one) workers, ascending — the candidate set R^w for OCS.
   std::vector<graph::RoadId> CoveredRoads(int min_workers = 1) const;
 
   /// Roads whose present workers can fill the road's full answer quota
@@ -72,7 +80,7 @@ class WorkerRegistry {
   std::vector<graph::RoadId> StaffableRoads(
       const crowd::CostModel& costs) const;
 
-  /// Number of workers currently on `road`.
+  /// Number of workers currently on `road` (0 for an id off the graph).
   int CountOn(graph::RoadId road) const;
 
   /// The workers currently on `road` (e.g. to scope a per-worker
@@ -85,11 +93,16 @@ class WorkerRegistry {
 
  private:
   crowd::Worker SpawnWorker(crowd::WorkerId id);
+  /// Checks every worker's road, recounts workers per road and moves
+  /// next_id_ past every id in the population.
+  void IndexWorkers();
 
   const graph::Graph& graph_;
   WorkerRegistryOptions options_;
   util::Rng rng_;
   std::vector<crowd::Worker> workers_;
+  /// workers_on_road_[r] = number of workers whose road is r.
+  std::vector<int> workers_on_road_;
   crowd::WorkerId next_id_ = 0;
   int slot_offset_ = 0;
 };

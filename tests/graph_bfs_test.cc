@@ -103,6 +103,26 @@ TEST(BfsTest, LevelsPartitionReachableRoads) {
   EXPECT_EQ(total, reachable);
 }
 
+TEST(BfsTest, MaxHopsStopsExpansion) {
+  const Graph g = *PathNetwork(10);
+  BfsLevels levels;
+  MultiSourceBfsInto(g, {5}, levels, /*max_hops=*/2);
+  EXPECT_EQ(levels.hops,
+            (std::vector<int>{-1, -1, -1, 2, 1, 0, 1, 2, -1, -1}));
+  EXPECT_EQ(levels.num_levels(), 3);
+  EXPECT_EQ(levels.order.size(), 5u);
+  MultiSourceBfsInto(g, {5}, levels, /*max_hops=*/0);
+  EXPECT_EQ(levels.num_levels(), 1);
+  EXPECT_EQ(levels.order, (std::vector<RoadId>{5}));
+  // A bound deeper than the graph changes nothing.
+  BfsLevels bounded;
+  MultiSourceBfsInto(g, {0, 6}, bounded, /*max_hops=*/50);
+  const BfsLevels unbounded = Bfs(g, {0, 6});
+  EXPECT_EQ(bounded.hops, unbounded.hops);
+  EXPECT_EQ(bounded.order, unbounded.order);
+  EXPECT_EQ(bounded.level_offsets, unbounded.level_offsets);
+}
+
 TEST(RoadsWithinHopsTest, CoverageCounts) {
   const Graph g = *PathNetwork(10);
   EXPECT_EQ(RoadsWithinHops(g, {5}, 0).size(), 1u);

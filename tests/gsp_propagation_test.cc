@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "graph/bfs.h"
 #include "graph/generators.h"
 #include "rtf/moment_estimator.h"
 #include "traffic/traffic_simulator.h"
@@ -246,6 +248,44 @@ TEST(GspTest, HopLimitFreezesRoadsBeyondTheHorizon) {
   for (graph::RoadId r = 3; r < 8; ++r) {
     EXPECT_DOUBLE_EQ(result->speeds[r], 50.0) << "road " << r;
   }
+}
+
+TEST(GspTest, HopLimitLeavesRoadsBeyondItUnreachedAtMu) {
+  util::Rng rng(5);
+  graph::RoadNetworkOptions net;
+  net.num_roads = 120;
+  const graph::Graph g = *graph::RoadNetwork(net, rng);
+  rtf::RtfModel model(g, 1);
+  for (graph::RoadId r = 0; r < g.num_roads(); ++r) {
+    model.SetMu(0, r, rng.UniformDouble(30.0, 70.0));
+    model.SetSigma(0, r, rng.UniformDouble(1.0, 6.0));
+  }
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    model.SetRho(0, e, rng.UniformDouble(0.4, 0.95));
+  }
+  GspOptions options;
+  options.hop_limit = 2;
+  const SpeedPropagator propagator(model, options);
+  const std::vector<graph::RoadId> sampled{7, 60};
+  const auto result = propagator.Propagate(0, sampled, {25.0, 80.0});
+  ASSERT_TRUE(result.ok());
+  // hops[r] == h exactly for the roads within h hops but not h - 1.
+  std::vector<int> expected(static_cast<size_t>(g.num_roads()), -1);
+  for (int h = 2; h >= 0; --h) {
+    for (graph::RoadId r : graph::RoadsWithinHops(g, sampled, h)) {
+      expected[static_cast<size_t>(r)] = h;
+    }
+  }
+  EXPECT_EQ(result->hops, expected);
+  int beyond = 0;
+  for (graph::RoadId r = 0; r < g.num_roads(); ++r) {
+    if (result->hops[static_cast<size_t>(r)] != -1) continue;
+    ++beyond;
+    const double mu = model.Mu(0, r);
+    const double got = result->speeds[static_cast<size_t>(r)];
+    EXPECT_EQ(std::memcmp(&got, &mu, sizeof(double)), 0) << "road " << r;
+  }
+  EXPECT_GT(beyond, 0);
 }
 
 }  // namespace

@@ -133,5 +133,57 @@ TEST(WorkerRegistryTest, CoveredRoadsReflectsPlacement) {
   EXPECT_LE(registry.CoveredRoads(20).size(), covered.size());
 }
 
+TEST(WorkerRegistryTest, EmptyGraphSpawnsNoWorkers) {
+  const graph::Graph empty = *graph::GraphBuilder(0).Build();
+  WorkerRegistryOptions options;
+  options.num_workers = 25;
+  WorkerRegistry registry(empty, options, 3);
+  EXPECT_EQ(registry.num_workers(), 0);
+  // A worker on kInvalidRoad would put that id into R^w and fail every
+  // later query inside OcsProblem::Create.
+  EXPECT_TRUE(registry.CoveredRoads().empty());
+  registry.AdvanceSlot();
+  EXPECT_EQ(registry.num_workers(), 0);
+  EXPECT_EQ(registry.CountOn(graph::kInvalidRoad), 0);
+}
+
+TEST(WorkerRegistryDeathTest, WorkerOffTheGraphIsRejected) {
+  const graph::Graph g = TestGraph();
+  const auto worker_on = [](graph::RoadId road) {
+    crowd::Worker w;
+    w.id = 1;
+    w.road = road;
+    return std::vector<crowd::Worker>{w};
+  };
+  EXPECT_DEATH(WorkerRegistry(g, worker_on(g.num_roads()), {}, 1),
+               "check failed");
+  EXPECT_DEATH(WorkerRegistry(g, worker_on(graph::kInvalidRoad), {}, 1),
+               "check failed");
+  WorkerRegistry registry(g, worker_on(0), {}, 1);
+  EXPECT_DEATH(registry.ReplaceWorkers(worker_on(g.num_roads() + 5)),
+               "check failed");
+}
+
+TEST(WorkerRegistryTest, RoadCountsFollowMovesAndChurn) {
+  const graph::Graph g = TestGraph();
+  WorkerRegistryOptions options;
+  options.num_workers = 400;
+  options.churn_probability = 0.2;
+  WorkerRegistry registry(g, options, 17);
+  for (int step = 0; step < 10; ++step) {
+    registry.AdvanceSlot();
+    std::vector<int> counts(static_cast<size_t>(g.num_roads()), 0);
+    for (const crowd::Worker& w : registry.workers()) {
+      ++counts[static_cast<size_t>(w.road)];
+    }
+    std::vector<graph::RoadId> covered;
+    for (graph::RoadId r = 0; r < g.num_roads(); ++r) {
+      EXPECT_EQ(registry.CountOn(r), counts[static_cast<size_t>(r)]);
+      if (counts[static_cast<size_t>(r)] > 0) covered.push_back(r);
+    }
+    EXPECT_EQ(registry.CoveredRoads(), covered);
+  }
+}
+
 }  // namespace
 }  // namespace crowdrtse::server
