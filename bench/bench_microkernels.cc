@@ -8,6 +8,9 @@
 //     RefreshedRows patch after a few edge correlations change.
 //   - Graph primitives: the flat single-allocation MultiSourceBfsInto and
 //     the flat-weight DijkstraInto.
+//   - OCS: OcsProblem::Create (which gathers the query's Gamma_R block)
+//     plus LazyHybridGreedy, on the bench's sparse Gamma_R for a fixed
+//     20-road query over its C-hop ball, budget 30 and cost 2 per road.
 //
 // Every timed kernel lands in the JSON artifact as {kernel, ns_per_op,
 // roads}; the artifact also records the two headline speedups (GSP
@@ -26,11 +29,13 @@
 #include <utility>
 #include <vector>
 
+#include "crowd/cost_model.h"
 #include "graph/bfs.h"
 #include "graph/dijkstra.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "gsp/propagation.h"
+#include "ocs/greedy_selectors.h"
 #include "rtf/correlation_table.h"
 #include "rtf/rtf_model.h"
 #include "util/logging.h"
@@ -252,6 +257,27 @@ void Run(const Flags& flags) {
       g_sink += workspace.distance[static_cast<size_t>(n - 1)];
     });
     record("dijkstra_flat", ns);
+  }
+
+  // --- OCS selection as the serve path runs it on a sparse Gamma_R: 20
+  // queried roads spread over the city, their C-hop ball as candidates.
+  {
+    std::vector<graph::RoadId> queried;
+    for (int k = 0; k < 20; ++k) queried.push_back(k * (n / 20) + n / 40);
+    const std::vector<graph::RoadId> candidates =
+        graph::RoadsWithinHops(*graph, queried, flags.hop_radius);
+    const std::vector<double> weights(queried.size(), 1.0);
+    const crowd::CostModel costs = crowd::CostModel::Constant(n, 2);
+    const double ns = MeasureNsPerOp(flags.reps * 20, [&] {
+      const auto problem = ocs::OcsProblem::Create(
+          *full, queried, weights, candidates, costs, /*budget=*/30,
+          /*theta=*/0.92);
+      CROWDRTSE_CHECK(problem.ok());
+      g_sink += ocs::LazyHybridGreedy(*problem).objective;
+    });
+    std::printf("  ocs: %zu queried roads, %zu candidates\n", queried.size(),
+                candidates.size());
+    record("ocs_lazy_hybrid", ns);
   }
 
   const double gsp_speedup =

@@ -1,5 +1,6 @@
 #include "gsp/uncertainty.h"
 
+#include <algorithm>
 #include <map>
 #include <string>
 
@@ -102,6 +103,7 @@ util::Result<std::vector<double>> LocalConditionalVariances(
 
 util::Result<std::vector<double>> DegradedAwareVariances(
     const rtf::RtfModel& model, int slot,
+    const std::vector<graph::RoadId>& roads,
     const std::vector<graph::RoadId>& sampled_roads,
     const std::vector<graph::RoadId>& degraded_roads, double inflation) {
   if (inflation < 1.0) {
@@ -109,12 +111,28 @@ util::Result<std::vector<double>> DegradedAwareVariances(
         "degraded variance inflation must be >= 1");
   }
   CROWDRTSE_RETURN_IF_ERROR(ValidateInputs(model, slot, degraded_roads));
-  util::Result<std::vector<double>> variance =
-      LocalConditionalVariances(model, slot, sampled_roads);
-  if (!variance.ok()) return variance.status();
-  for (graph::RoadId r : degraded_roads) {
-    const double sigma = model.Sigma(slot, r);
-    (*variance)[static_cast<size_t>(r)] = inflation * sigma * sigma;
+  CROWDRTSE_RETURN_IF_ERROR(ValidateInputs(model, slot, sampled_roads));
+  for (graph::RoadId r : roads) {
+    if (r < 0 || r >= model.num_roads()) {
+      return util::Status::InvalidArgument("reported road out of range: " +
+                                           std::to_string(r));
+    }
+  }
+  std::vector<graph::RoadId> sampled = sampled_roads;
+  std::sort(sampled.begin(), sampled.end());
+  std::vector<graph::RoadId> degraded = degraded_roads;
+  std::sort(degraded.begin(), degraded.end());
+  std::vector<double> variance;
+  variance.reserve(roads.size());
+  for (graph::RoadId r : roads) {
+    if (std::binary_search(degraded.begin(), degraded.end(), r)) {
+      const double sigma = model.Sigma(slot, r);
+      variance.push_back(inflation * sigma * sigma);
+    } else if (std::binary_search(sampled.begin(), sampled.end(), r)) {
+      variance.push_back(0.0);
+    } else {
+      variance.push_back(1.0 / (2.0 * DiagonalA(model, slot, r)));
+    }
   }
   return variance;
 }

@@ -36,15 +36,20 @@ util::Result<std::vector<double>> LocalConditionalVariances(
     const rtf::RtfModel& model, int slot,
     const std::vector<graph::RoadId>& sampled_roads);
 
-/// Degradation-ladder variances: LocalConditionalVariances, with every
+/// Degradation-ladder variances for the reported `roads` only, one value
+/// per entry of `roads` in the same order (duplicates allowed). A
 /// `degraded_road` (a road whose crowd probes all failed — see
-/// crowd::DispatchController) overridden by its *widened prior marginal*
-/// inflation * sigma_i^2. The local conditional bound assumes neighbours
-/// carry probe-derived information; a degraded road's own probe attempt
-/// failing is evidence against that, so its reported uncertainty must not
-/// shrink below the prior. `inflation` must be >= 1.
+/// crowd::DispatchController) reads its *widened prior marginal*
+/// inflation * sigma_i^2, even when it was also sampled; a sampled road
+/// reads 0; any other road reads LocalConditionalVariances' 1 / P_ii. The
+/// local conditional bound assumes neighbours carry probe-derived
+/// information; a degraded road's own probe attempt failing is evidence
+/// against that, so its reported uncertainty must not shrink below the
+/// prior. `inflation` must be >= 1. O((|roads| + |sampled| + |degraded|)
+/// log) plus each reported road's degree — nothing scales with the city.
 util::Result<std::vector<double>> DegradedAwareVariances(
     const rtf::RtfModel& model, int slot,
+    const std::vector<graph::RoadId>& roads,
     const std::vector<graph::RoadId>& sampled_roads,
     const std::vector<graph::RoadId>& degraded_roads, double inflation);
 

@@ -1,8 +1,9 @@
 #include "ocs/greedy_selectors.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <queue>
-#include <set>
 
 #include "util/trace.h"
 
@@ -16,13 +17,12 @@ namespace {
 template <typename ScoreFn>
 OcsSolution RunGreedy(const OcsProblem& problem, ScoreFn score) {
   IncrementalObjective objective(problem);
-  std::vector<graph::RoadId> pool = problem.candidate_roads();
+  const std::vector<graph::RoadId>& pool = problem.candidate_roads();
   std::vector<bool> selected(pool.size(), false);
   int budget_left = problem.budget();
 
   for (;;) {
     double best_score = -1.0;
-    double best_gain = 0.0;
     size_t best_index = pool.size();
     for (size_t i = 0; i < pool.size(); ++i) {
       if (selected[i]) continue;
@@ -30,19 +30,16 @@ OcsSolution RunGreedy(const OcsProblem& problem, ScoreFn score) {
       const int cost = problem.costs().Cost(candidate);
       if (cost > budget_left) continue;
       if (!problem.RedundancyOk(candidate, objective.selection())) continue;
-      const double gain = objective.Gain(candidate);
-      const double candidate_score = score(gain, cost);
+      const double candidate_score = score(objective.Gain(i), cost);
       if (candidate_score > best_score) {
         best_score = candidate_score;
-        best_gain = gain;
         best_index = i;
       }
     }
     if (best_index == pool.size()) break;  // feasible set exhausted
-    (void)best_gain;
     selected[best_index] = true;
     budget_left -= problem.costs().Cost(pool[best_index]);
-    objective.Add(pool[best_index]);
+    objective.Add(best_index);
   }
 
   OcsSolution solution;
@@ -57,41 +54,45 @@ OcsSolution RunGreedy(const OcsProblem& problem, ScoreFn score) {
 ///    upper bound and the heap top with a fresh gain is the true argmax;
 ///  * the remaining budget only shrinks and the redundancy constraint only
 ///    tightens, so a candidate found infeasible can be discarded for good.
+///    Once the budget left is below the cheapest candidate's cost, every
+///    remaining entry would be discarded, so the loop stops there.
 template <typename ScoreFn>
 OcsSolution RunLazyGreedy(const OcsProblem& problem, ScoreFn score) {
   IncrementalObjective objective(problem);
+  const std::vector<graph::RoadId>& candidates = problem.candidate_roads();
   int budget_left = problem.budget();
 
   struct Entry {
     double score;
-    double gain;
-    graph::RoadId road;
-    size_t stamp;  // selection count the score was computed at
+    size_t candidate;  // index into problem.candidate_roads()
+    size_t stamp;      // selection count the score was computed at
     bool operator<(const Entry& other) const {
       return score < other.score;  // max-heap
     }
   };
   std::priority_queue<Entry> heap;
-  for (graph::RoadId candidate : problem.candidate_roads()) {
-    const double gain = objective.Gain(candidate);
-    heap.push({score(gain, problem.costs().Cost(candidate)), gain,
-               candidate, 0});
+  int min_cost = std::numeric_limits<int>::max();
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    const int cost = problem.costs().Cost(candidates[k]);
+    min_cost = std::min(min_cost, cost);
+    heap.push({score(objective.Gain(k), cost), k, 0});
   }
 
   size_t selections = 0;
-  while (!heap.empty()) {
-    Entry top = heap.top();
+  while (!heap.empty() && budget_left >= min_cost) {
+    const Entry top = heap.top();
     heap.pop();
-    const int cost = problem.costs().Cost(top.road);
+    const graph::RoadId road = candidates[top.candidate];
+    const int cost = problem.costs().Cost(road);
     if (cost > budget_left) continue;  // permanently infeasible
-    if (!problem.RedundancyOk(top.road, objective.selection())) continue;
+    if (!problem.RedundancyOk(road, objective.selection())) continue;
     if (top.stamp != selections) {
       // Stale: re-score against the current selection and requeue.
-      const double gain = objective.Gain(top.road);
-      heap.push({score(gain, cost), gain, top.road, selections});
+      heap.push({score(objective.Gain(top.candidate), cost), top.candidate,
+                 selections});
       continue;
     }
-    objective.Add(top.road);
+    objective.Add(top.candidate);
     budget_left -= cost;
     ++selections;
   }
@@ -156,15 +157,17 @@ OcsSolution LazyHybridGreedy(const OcsProblem& problem) {
 }
 
 OcsSolution RandomSelect(const OcsProblem& problem, util::Rng& rng) {
-  std::vector<graph::RoadId> pool = problem.candidate_roads();
+  std::vector<size_t> pool(problem.candidate_roads().size());
+  std::iota(pool.begin(), pool.end(), size_t{0});
   rng.Shuffle(pool);
   IncrementalObjective objective(problem);
   int budget_left = problem.budget();
-  for (graph::RoadId candidate : pool) {
+  for (size_t k : pool) {
+    const graph::RoadId candidate = problem.candidate_roads()[k];
     const int cost = problem.costs().Cost(candidate);
     if (cost > budget_left) continue;
     if (!problem.RedundancyOk(candidate, objective.selection())) continue;
-    objective.Add(candidate);
+    objective.Add(k);
     budget_left -= cost;
   }
   OcsSolution solution;
@@ -189,20 +192,25 @@ util::Result<OcsSolution> SolveTrivialCase(const OcsProblem& problem) {
     solution.roads = problem.candidate_roads();
   } else if (static_cast<int>(problem.queried_roads().size()) <= budget) {
     // Per queried road, pick its top-correlated candidate (case 2).
-    std::set<graph::RoadId> chosen;
-    for (graph::RoadId q : problem.queried_roads()) {
+    const std::vector<graph::RoadId>& candidates = problem.candidate_roads();
+    for (size_t i = 0; i < problem.queried_roads().size(); ++i) {
       double best = -1.0;
       graph::RoadId best_candidate = graph::kInvalidRoad;
-      for (graph::RoadId c : problem.candidate_roads()) {
-        const double corr = problem.correlations().Corr(q, c);
+      for (size_t k = 0; k < candidates.size(); ++k) {
+        const double corr = problem.CandidateCorrs(k)[i];
         if (corr > best) {
           best = corr;
-          best_candidate = c;
+          best_candidate = candidates[k];
         }
       }
-      if (best_candidate != graph::kInvalidRoad) chosen.insert(best_candidate);
+      if (best_candidate != graph::kInvalidRoad) {
+        solution.roads.push_back(best_candidate);
+      }
     }
-    solution.roads.assign(chosen.begin(), chosen.end());
+    std::sort(solution.roads.begin(), solution.roads.end());
+    solution.roads.erase(
+        std::unique(solution.roads.begin(), solution.roads.end()),
+        solution.roads.end());
   } else {
     return util::Status::FailedPrecondition(
         "not a trivial instance (budget below both |R^w| and |R^q|)");

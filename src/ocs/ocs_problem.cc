@@ -2,10 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <string>
 
 namespace crowdrtse::ocs {
+
+namespace {
+
+/// True iff some road id appears twice: one sort of a scratch copy.
+bool HasDuplicate(const std::vector<graph::RoadId>& roads) {
+  std::vector<graph::RoadId> sorted = roads;
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+}
+
+/// Sum over queried roads of weight * (corr - best) where corr beats best:
+/// the marginal gain of one candidate, in queried-road order.
+double MarginalGain(const double* corr, const std::vector<double>& best,
+                    const std::vector<double>& weights) {
+  double gain = 0.0;
+  for (size_t i = 0; i < best.size(); ++i) {
+    if (corr[i] > best[i]) {
+      gain += weights[i] * (corr[i] - best[i]);
+    }
+  }
+  return gain;
+}
+
+}  // namespace
 
 util::Result<OcsProblem> OcsProblem::Create(
     const rtf::CorrelationTable& correlations,
@@ -27,35 +50,54 @@ util::Result<OcsProblem> OcsProblem::Create(
     return util::Status::InvalidArgument("theta must be in (0, 1]");
   }
   const int n = correlations.num_roads();
-  std::set<graph::RoadId> seen;
-  for (graph::RoadId r : candidate_roads) {
-    if (r < 0 || r >= n) {
-      return util::Status::InvalidArgument("candidate road out of range: " +
-                                           std::to_string(r));
-    }
-    if (r >= costs.num_roads()) {
-      return util::Status::InvalidArgument(
-          "candidate road missing from cost model: " + std::to_string(r));
-    }
-    if (!seen.insert(r).second) {
-      return util::Status::InvalidArgument("duplicate candidate road: " +
-                                           std::to_string(r));
+  const auto candidate_ok = [&](graph::RoadId r) {
+    return r >= 0 && r < n && r < costs.num_roads();
+  };
+  if (!std::all_of(candidate_roads.begin(), candidate_roads.end(),
+                   candidate_ok) ||
+      HasDuplicate(candidate_roads)) {
+    // Something is wrong: rescan in input order so the error names the
+    // first bad road.
+    std::vector<bool> seen(static_cast<size_t>(n), false);
+    for (graph::RoadId r : candidate_roads) {
+      if (r < 0 || r >= n) {
+        return util::Status::InvalidArgument(
+            "candidate road out of range: " + std::to_string(r));
+      }
+      if (r >= costs.num_roads()) {
+        return util::Status::InvalidArgument(
+            "candidate road missing from cost model: " + std::to_string(r));
+      }
+      if (seen[static_cast<size_t>(r)]) {
+        return util::Status::InvalidArgument("duplicate candidate road: " +
+                                             std::to_string(r));
+      }
+      seen[static_cast<size_t>(r)] = true;
     }
   }
-  std::set<graph::RoadId> queried_seen;
+  bool queried_ok = true;
   for (size_t i = 0; i < queried_roads.size(); ++i) {
-    const graph::RoadId r = queried_roads[i];
-    if (r < 0 || r >= n) {
-      return util::Status::InvalidArgument("queried road out of range: " +
-                                           std::to_string(r));
-    }
-    if (!queried_seen.insert(r).second) {
-      // R^q is a set; a duplicate would double-weight one road silently.
-      return util::Status::InvalidArgument("duplicate queried road: " +
-                                           std::to_string(r));
-    }
-    if (!(sigma_weights[i] >= 0.0) || !std::isfinite(sigma_weights[i])) {
-      return util::Status::InvalidArgument("sigma weights must be >= 0");
+    queried_ok = queried_ok && queried_roads[i] >= 0 &&
+                 queried_roads[i] < n && sigma_weights[i] >= 0.0 &&
+                 std::isfinite(sigma_weights[i]);
+  }
+  if (!queried_ok || HasDuplicate(queried_roads)) {
+    std::vector<bool> seen(static_cast<size_t>(n), false);
+    for (size_t i = 0; i < queried_roads.size(); ++i) {
+      const graph::RoadId r = queried_roads[i];
+      if (r < 0 || r >= n) {
+        return util::Status::InvalidArgument("queried road out of range: " +
+                                             std::to_string(r));
+      }
+      if (seen[static_cast<size_t>(r)]) {
+        // R^q is a set; a duplicate would double-weight one road silently.
+        return util::Status::InvalidArgument("duplicate queried road: " +
+                                             std::to_string(r));
+      }
+      seen[static_cast<size_t>(r)] = true;
+      if (!(sigma_weights[i] >= 0.0) || !std::isfinite(sigma_weights[i])) {
+        return util::Status::InvalidArgument("sigma weights must be >= 0");
+      }
     }
   }
 
@@ -67,7 +109,36 @@ util::Result<OcsProblem> OcsProblem::Create(
   problem.costs_ = &costs;
   problem.budget_ = budget;
   problem.theta_ = theta;
+  problem.GatherGainBlock();
   return problem;
+}
+
+void OcsProblem::GatherGainBlock() {
+  const size_t m = queried_roads_.size();
+  const size_t num_candidates = candidate_roads_.size();
+  candidate_corrs_.resize(num_candidates * m);
+  if (correlations_->hop_radius() == 0) {
+    // Dense: one sequential row per queried road.
+    for (size_t i = 0; i < m; ++i) {
+      const double* row = correlations_->Row(queried_roads_[i]);
+      for (size_t k = 0; k < num_candidates; ++k) {
+        candidate_corrs_[k * m + i] =
+            row[static_cast<size_t>(candidate_roads_[k])];
+      }
+    }
+  } else {
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t k = 0; k < num_candidates; ++k) {
+        candidate_corrs_[k * m + i] =
+            correlations_->Corr(queried_roads_[i], candidate_roads_[k]);
+      }
+    }
+  }
+  const std::vector<double> empty(m, 0.0);
+  empty_gains_.resize(num_candidates);
+  for (size_t k = 0; k < num_candidates; ++k) {
+    empty_gains_[k] = MarginalGain(CandidateCorrs(k), empty, sigma_weights_);
+  }
 }
 
 double OcsProblem::Objective(
@@ -96,12 +167,14 @@ bool OcsProblem::RedundancyOk(
 
 bool OcsProblem::IsFeasible(
     const std::vector<graph::RoadId>& selection) const {
-  std::set<graph::RoadId> candidate_set(candidate_roads_.begin(),
-                                        candidate_roads_.end());
+  std::vector<graph::RoadId> candidates = candidate_roads_;
+  std::sort(candidates.begin(), candidates.end());
   int total_cost = 0;
   for (size_t i = 0; i < selection.size(); ++i) {
     const graph::RoadId r = selection[i];
-    if (candidate_set.count(r) == 0) return false;
+    if (!std::binary_search(candidates.begin(), candidates.end(), r)) {
+      return false;
+    }
     total_cost += costs_->Cost(r);
     for (size_t j = i + 1; j < selection.size(); ++j) {
       if (selection[j] == r) return false;
@@ -115,31 +188,25 @@ IncrementalObjective::IncrementalObjective(const OcsProblem& problem)
     : problem_(problem),
       best_corr_(problem.queried_roads().size(), 0.0) {}
 
-double IncrementalObjective::Gain(graph::RoadId candidate) const {
-  const auto& queried = problem_.queried_roads();
-  const auto& weights = problem_.sigma_weights();
-  double gain = 0.0;
-  for (size_t i = 0; i < queried.size(); ++i) {
-    const double corr = problem_.correlations().Corr(queried[i], candidate);
-    if (corr > best_corr_[i]) {
-      gain += weights[i] * (corr - best_corr_[i]);
-    }
-  }
-  return gain;
+double IncrementalObjective::Gain(size_t k) const {
+  // Against the empty selection best_corr_ is all zero: the gathered gain.
+  if (selection_.empty()) return problem_.EmptyGain(k);
+  return MarginalGain(problem_.CandidateCorrs(k), best_corr_,
+                      problem_.sigma_weights());
 }
 
-void IncrementalObjective::Add(graph::RoadId candidate) {
-  const auto& queried = problem_.queried_roads();
+void IncrementalObjective::Add(size_t k) {
+  const double* corr = problem_.CandidateCorrs(k);
   const auto& weights = problem_.sigma_weights();
-  for (size_t i = 0; i < queried.size(); ++i) {
-    const double corr = problem_.correlations().Corr(queried[i], candidate);
-    if (corr > best_corr_[i]) {
-      objective_ += weights[i] * (corr - best_corr_[i]);
-      best_corr_[i] = corr;
+  for (size_t i = 0; i < best_corr_.size(); ++i) {
+    if (corr[i] > best_corr_[i]) {
+      objective_ += weights[i] * (corr[i] - best_corr_[i]);
+      best_corr_[i] = corr[i];
     }
   }
-  selection_.push_back(candidate);
-  total_cost_ += problem_.costs().Cost(candidate);
+  const graph::RoadId road = problem_.candidate_roads()[k];
+  selection_.push_back(road);
+  total_cost_ += problem_.costs().Cost(road);
 }
 
 }  // namespace crowdrtse::ocs

@@ -1,6 +1,7 @@
 #ifndef CROWDRTSE_OCS_OCS_PROBLEM_H_
 #define CROWDRTSE_OCS_OCS_PROBLEM_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "crowd/cost_model.h"
@@ -18,8 +19,15 @@ namespace crowdrtse::ocs {
 ///              sum_{r in R^c} c_r <= K,
 ///              corr(r_i, r_j) <= theta for all pairs in R^c.
 ///
-/// The correlation table, cost model, and weight vector are borrowed; they
-/// must outlive the problem object.
+/// The correlation table and cost model are borrowed; they must outlive the
+/// problem object.
+///
+/// Create gathers the problem's gain block once: corr(q_i, c_k) for every
+/// queried road q_i and candidate c_k, copied bit for bit from the table,
+/// plus each candidate's gain against the empty selection. The greedy
+/// selectors score candidates from this block only, so scoring reads
+/// Gamma_R |R^q| x |R^w| times however many greedy passes run (the
+/// redundancy test still reads candidate-candidate entries).
 class OcsProblem {
  public:
   /// Validates shapes and ranges. `sigma_weights[i]` is the periodicity
@@ -56,8 +64,20 @@ class OcsProblem {
   bool RedundancyOk(graph::RoadId candidate,
                     const std::vector<graph::RoadId>& selection) const;
 
+  /// corr(queried_roads()[i], candidate_roads()[k]) at index i of the
+  /// returned |R^q|-long span.
+  const double* CandidateCorrs(size_t k) const {
+    return candidate_corrs_.data() + k * queried_roads_.size();
+  }
+
+  /// ocs({candidate_roads()[k]}): candidate k's gain on an empty selection.
+  double EmptyGain(size_t k) const { return empty_gains_[k]; }
+
  private:
   OcsProblem() = default;
+
+  /// Fills candidate_corrs_ and empty_gains_ from the validated fields.
+  void GatherGainBlock();
 
   const rtf::CorrelationTable* correlations_ = nullptr;
   std::vector<graph::RoadId> queried_roads_;
@@ -66,21 +86,25 @@ class OcsProblem {
   const crowd::CostModel* costs_ = nullptr;
   int budget_ = 0;
   double theta_ = 1.0;
+  std::vector<double> candidate_corrs_;  // [k * |R^q| + i]
+  std::vector<double> empty_gains_;      // aligned with candidate_roads_
 };
 
 /// Incremental evaluator for greedy selection: keeps, per queried road, the
 /// best correlation into the current selection, so the marginal gain of a
 /// candidate is O(|R^q|) and adding it is O(|R^q|). This realises the
 /// paper's O(K |R^w|) greedy envelope with |R^q| as a constant factor.
+/// Candidates are named by their index k into problem.candidate_roads(),
+/// and every correlation comes from the problem's gathered gain block.
 class IncrementalObjective {
  public:
   explicit IncrementalObjective(const OcsProblem& problem);
 
-  /// ocs(selection + candidate) - ocs(selection).
-  double Gain(graph::RoadId candidate) const;
+  /// ocs(selection + candidate k) - ocs(selection).
+  double Gain(size_t k) const;
 
-  /// Commits `candidate` into the selection.
-  void Add(graph::RoadId candidate);
+  /// Commits candidate k into the selection.
+  void Add(size_t k);
 
   double objective() const { return objective_; }
   const std::vector<graph::RoadId>& selection() const { return selection_; }

@@ -419,7 +419,7 @@ util::Result<QueryResponse> QueryEngine::Serve(
     }
     util::Result<std::vector<double>> variances =
         gsp::DegradedAwareVariances(system_.model(), request.slot,
-                                    response.probed_roads,
+                                    request.queried, response.probed_roads,
                                     response.degraded_roads,
                                     options_.degraded_variance_inflation);
     if (!variances.ok()) {
@@ -427,11 +427,7 @@ util::Result<QueryResponse> QueryEngine::Serve(
       serve_span.Annotate("outcome", "failed_degrade");
       return FailQuery(query_id, budget, response.paid, variances.status());
     }
-    response.queried_variances.reserve(request.queried.size());
-    for (graph::RoadId r : request.queried) {
-      response.queried_variances.push_back(
-          (*variances)[static_cast<size_t>(r)]);
-    }
+    response.queried_variances = std::move(*variances);
   }
 
   const util::Status settled = [&] {
@@ -516,17 +512,13 @@ util::Result<QueryResponse> QueryEngine::ServePeriodicFallback(
       system_.PeriodicMeans(request.slot, request.queried);
   response.queried_speeds = fallback;
   util::Result<std::vector<double>> variances = gsp::DegradedAwareVariances(
-      system_.model(), request.slot, /*probed_roads=*/{},
+      system_.model(), request.slot, request.queried, /*sampled_roads=*/{},
       response.degraded_roads, options_.degraded_variance_inflation);
   if (!variances.ok()) {
     queries_failed_->Increment();
     return variances.status();
   }
-  response.queried_variances.reserve(request.queried.size());
-  for (graph::RoadId r : request.queried) {
-    response.queried_variances.push_back(
-        (*variances)[static_cast<size_t>(r)]);
-  }
+  response.queried_variances = std::move(*variances);
 
   serve_latency_->Record(serve_timer.ElapsedMillis());
   queries_served_->Increment();

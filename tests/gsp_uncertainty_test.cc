@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -113,6 +115,77 @@ TEST(UncertaintyTest, Validation) {
   EXPECT_FALSE(ExactPosteriorVariances(model, 9, {}).ok());
   EXPECT_FALSE(ExactPosteriorVariances(model, 0, {7}).ok());
   EXPECT_FALSE(LocalConditionalVariances(model, -1, {}).ok());
+}
+
+/// Bitwise double equality.
+bool Same(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(UncertaintyTest, DegradedAwareMatchesLocalIndexedByRoad) {
+  util::Rng rng(17);
+  graph::RoadNetworkOptions net;
+  net.num_roads = 40;
+  const graph::Graph g = *graph::RoadNetwork(net, rng);
+  const rtf::RtfModel model = RandomModel(g, 19);
+  const std::vector<graph::RoadId> sampled = {12, 3, 30, 3};
+  // Road 30 is both sampled and degraded: the degraded prior wins.
+  const std::vector<graph::RoadId> degraded = {30, 8};
+  // Unsorted, with duplicates, covering sampled, degraded and free roads.
+  const std::vector<graph::RoadId> roads = {5,  30, 3, 8, 39, 5, 0,
+                                            12, 8,  1, 3, 21, 30};
+  const auto local = LocalConditionalVariances(model, 0, sampled);
+  ASSERT_TRUE(local.ok());
+  for (double inflation : {1.0, 4.0}) {
+    const auto got =
+        DegradedAwareVariances(model, 0, roads, sampled, degraded, inflation);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), roads.size());
+    for (size_t i = 0; i < roads.size(); ++i) {
+      const graph::RoadId r = roads[i];
+      double want = (*local)[static_cast<size_t>(r)];
+      if (std::find(degraded.begin(), degraded.end(), r) != degraded.end()) {
+        const double sigma = model.Sigma(0, r);
+        want = inflation * sigma * sigma;
+      }
+      EXPECT_TRUE(Same((*got)[i], want))
+          << "road " << r << " at " << i << ": " << (*got)[i] << " vs "
+          << want;
+    }
+    EXPECT_TRUE(Same((*got)[2], 0.0));  // probed road 3
+  }
+  const auto none = DegradedAwareVariances(model, 0, {}, sampled, degraded, 2);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+}
+
+TEST(UncertaintyTest, DegradedAwareValidationOrder) {
+  const graph::Graph g = *graph::PathNetwork(4);
+  const rtf::RtfModel model = RandomModel(g, 21);
+  const auto message = [&](const std::vector<graph::RoadId>& roads,
+                           const std::vector<graph::RoadId>& sampled,
+                           const std::vector<graph::RoadId>& degraded,
+                           double inflation, int slot = 0) {
+    const auto result =
+        DegradedAwareVariances(model, slot, roads, sampled, degraded,
+                               inflation);
+    EXPECT_FALSE(result.ok());
+    return result.ok() ? std::string() : result.status().message();
+  };
+  // inflation, then slot, then degraded ids, then sampled ids, then the
+  // reported roads.
+  EXPECT_NE(message({9}, {9}, {9}, 0.5, 7).find("inflation"),
+            std::string::npos);
+  EXPECT_NE(message({9}, {9}, {9}, 1.0, 7).find("slot out of range"),
+            std::string::npos);
+  EXPECT_NE(message({9}, {8}, {-1}, 1.0).find("sampled road out of range: -1"),
+            std::string::npos);
+  EXPECT_NE(message({9}, {8}, {1}, 1.0).find("sampled road out of range: 8"),
+            std::string::npos);
+  EXPECT_NE(message({9}, {0}, {1}, 1.0).find("reported road out of range: 9"),
+            std::string::npos);
+  EXPECT_NE(message({-2}, {}, {}, 1.0).find("reported road out of range"),
+            std::string::npos);
 }
 
 }  // namespace

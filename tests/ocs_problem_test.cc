@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/generators.h"
 
 namespace crowdrtse::ocs {
@@ -85,16 +87,54 @@ TEST_F(OcsProblemTest, CreateValidation) {
   EXPECT_FALSE(Make({0, 0}, {1.0, 1.0}, {1}, 2, 1.0).ok());  // dup query
 }
 
+TEST_F(OcsProblemTest, CreateNamesTheFirstBadRoadInInputOrder) {
+  const auto message = [&](std::vector<graph::RoadId> queried,
+                           std::vector<double> weights,
+                           std::vector<graph::RoadId> candidates) {
+    const auto problem = Make(std::move(queried), std::move(weights),
+                              std::move(candidates), 2, 1.0);
+    EXPECT_FALSE(problem.ok());
+    return problem.ok() ? std::string() : problem.status().message();
+  };
+  EXPECT_EQ(message({0}, {1.0}, {2, 1, 2, 9, 1}),
+            "duplicate candidate road: 2");
+  EXPECT_EQ(message({0}, {1.0}, {1, 2, 1, 2}), "duplicate candidate road: 1");
+  EXPECT_EQ(message({0}, {1.0}, {1, 9, 1}), "candidate road out of range: 9");
+  EXPECT_EQ(message({0}, {1.0}, {3, -1, 3}),
+            "candidate road out of range: -1");
+  EXPECT_EQ(message({2, 1, 1, 2}, {1.0, 1.0, 1.0, 1.0}, {3}),
+            "duplicate queried road: 1");
+  EXPECT_EQ(message({1, 9, 1}, {1.0, 1.0, 1.0}, {3}),
+            "queried road out of range: 9");
+  // At one index the repeat is found before the weight.
+  EXPECT_EQ(message({1, 1}, {1.0, -1.0}, {3}), "duplicate queried road: 1");
+  EXPECT_EQ(message({1, 2, 1}, {1.0, -1.0, 1.0}, {3}),
+            "sigma weights must be >= 0");
+  // Candidates are checked before queried roads.
+  EXPECT_EQ(message({1, 1}, {1.0, 1.0}, {3, 3}),
+            "duplicate candidate road: 3");
+}
+
+TEST_F(OcsProblemTest, CandidateMissingFromCostModel) {
+  const crowd::CostModel short_costs = crowd::CostModel::Constant(2, 1);
+  const auto problem = OcsProblem::Create(table_, {0}, {1.0}, {1, 3, 1},
+                                          short_costs, 2, 1.0);
+  ASSERT_FALSE(problem.ok());
+  EXPECT_EQ(problem.status().message(),
+            "candidate road missing from cost model: 3");
+}
+
 TEST_F(OcsProblemTest, IncrementalObjectiveMatchesBatch) {
   const auto problem = Make({0, 3}, {2.0, 1.0}, {1, 2}, 5, 1.0);
   ASSERT_TRUE(problem.ok());
+  // Candidates are named by index: 0 is road 1, 1 is road 2.
   IncrementalObjective inc(*problem);
-  EXPECT_NEAR(inc.Gain(1), problem->Objective({1}), 1e-12);
-  inc.Add(1);
+  EXPECT_NEAR(inc.Gain(0), problem->Objective({1}), 1e-12);
+  inc.Add(0);
   EXPECT_NEAR(inc.objective(), problem->Objective({1}), 1e-12);
-  EXPECT_NEAR(inc.Gain(2), problem->Objective({1, 2}) - problem->Objective({1}),
+  EXPECT_NEAR(inc.Gain(1), problem->Objective({1, 2}) - problem->Objective({1}),
               1e-12);
-  inc.Add(2);
+  inc.Add(1);
   EXPECT_NEAR(inc.objective(), problem->Objective({1, 2}), 1e-12);
   EXPECT_EQ(inc.total_cost(), 2);
   EXPECT_EQ(inc.selection(), (std::vector<graph::RoadId>{1, 2}));
@@ -106,7 +146,7 @@ TEST_F(OcsProblemTest, GainIsMonotoneDiminishing) {
   const auto problem = Make({0, 1, 2, 3}, {1.0, 1.0, 1.0, 1.0},
                             {0, 1, 2, 3}, 10, 1.0);
   ASSERT_TRUE(problem.ok());
-  IncrementalObjective inc(*problem);
+  IncrementalObjective inc(*problem);  // candidate index == road id here
   const double gain_before = inc.Gain(2);
   inc.Add(1);
   const double gain_after = inc.Gain(2);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "gsp/uncertainty.h"
 #include "traffic/time_slots.h"
 #include "traffic/traffic_simulator.h"
 #include "util/rng.h"
@@ -653,6 +654,48 @@ TEST_F(QueryEngineTest, BudgetCapLimitsSpendBelowTheGrant) {
   EXPECT_EQ(response->granted_budget, 12);
   EXPECT_EQ(ledger.total_spent(), full->paid + response->paid);
   EXPECT_EQ(ledger.reserved_outstanding(), 0);
+}
+
+// Fault-tolerant variances are computed for the queried roads only; they
+// must stay aligned with the request as submitted, duplicates included.
+TEST_F(QueryEngineTest, FaultTolerantVariancesAlignWithDuplicateQueries) {
+  BudgetLedger ledger(-1, 12);
+  util::SimClock clock;
+  QueryEngine::Options options;
+  options.fault_tolerant_dispatch = true;
+  options.clock = &clock;
+  crowd::FaultSpec storm;
+  storm.drop_rate = 0.5;
+  options.fault_plan = crowd::FaultPlan(storm, /*seed=*/23);
+  QueryEngine engine(*system_, *registry_, ledger, costs_, *crowd_sim_,
+                     options);
+  QueryRequest request = MakeRequest();
+  request.queried = {17, 3, 17, 42, 3, 77, 42, 60};
+  const rtf::RtfModel& model = system_->model();
+  const auto check = [&](const QueryResponse& response) {
+    ASSERT_EQ(response.queried_variances.size(), request.queried.size());
+    const auto local = gsp::LocalConditionalVariances(
+        model, request.slot, response.probed_roads);
+    ASSERT_TRUE(local.ok());
+    for (size_t i = 0; i < request.queried.size(); ++i) {
+      const graph::RoadId r = request.queried[i];
+      double want = (*local)[static_cast<size_t>(r)];
+      if (std::binary_search(response.degraded_roads.begin(),
+                             response.degraded_roads.end(), r)) {
+        const double sigma = model.Sigma(request.slot, r);
+        want = options.degraded_variance_inflation * sigma * sigma;
+      }
+      EXPECT_EQ(response.queried_variances[i], want) << "road " << r;
+    }
+  };
+  for (int round = 0; round < 3; ++round) {
+    const auto response = engine.Serve(request, truth_);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    check(*response);
+  }
+  const auto shed = engine.ServePeriodicFallback(request, truth_);
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  check(*shed);
 }
 
 // The ladder's periodic-mean rung: no budget, no workers, answers are
