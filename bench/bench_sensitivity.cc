@@ -2,17 +2,12 @@
 // how robust is the GSP-vs-baselines ranking when the world gets harder?
 //   1. crowd answer noise  — sweep the workers' reading noise;
 //   2. accidental variance — sweep the incident rate of the ground truth;
-//   3. history length      — sweep the number of offline training days;
-//   4. estimator roster    — the two extension baselines (Ridge, kNN-days)
-//      against GSP at a fixed budget.
+//   3. history length      — sweep the number of offline training days.
 // Runs on a 300-road world to keep the sweep affordable; shapes, not
 // absolute numbers, are the output.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
-#include "baselines/knn_days.h"
-#include "baselines/ridge.h"
 #include "core/gsp_estimator.h"
 #include "eval/table_printer.h"
 #include "quality_harness.h"
@@ -130,30 +125,6 @@ void HistoryLengthSweep() {
   std::printf("(expected: both improve with more days; GSP stays ahead)\n");
 }
 
-void ExtensionRoster(const SemiSyntheticWorld& world,
-                     const rtf::CorrelationTable& table,
-                     const std::vector<graph::RoadId>& queried) {
-  std::printf(
-      "\n--- sensitivity 4: extension baselines at budget %d ---\n",
-      kBudget);
-  const core::GspEstimator gsp(world.model, {});
-  const baselines::PeriodicEstimator per(world.model);
-  baselines::RidgeEstimatorOptions ridge_options;
-  const baselines::RidgeEstimator ridge(world.network, world.history,
-                                        ridge_options);
-  const baselines::KnnDaysEstimator knn(world.network, world.history, {});
-  eval::TablePrinter t({"estimator", "MAPE"});
-  t.AddNumericRow("GSP",
-                  {EvaluateOnce(world, gsp, table, queried, 1.0, 4)}, 4);
-  t.AddNumericRow("Ridge",
-                  {EvaluateOnce(world, ridge, table, queried, 1.0, 4)}, 4);
-  t.AddNumericRow("kNN-days",
-                  {EvaluateOnce(world, knn, table, queried, 1.0, 4)}, 4);
-  t.AddNumericRow("Per",
-                  {EvaluateOnce(world, per, table, queried, 1.0, 4)}, 4);
-  t.Print();
-}
-
 void Run() {
   std::printf("=== Sensitivity benches (extension experiments) ===\n");
   WorldOptions options;
@@ -166,7 +137,6 @@ void Run() {
   NoiseSweep(world, *table, queried);
   IncidentSweep();
   HistoryLengthSweep();
-  ExtensionRoster(world, *table, queried);
 }
 
 }  // namespace

@@ -256,13 +256,6 @@ double SpeedPropagator::UpdateValue(int slot, graph::RoadId road,
 util::Result<GspResult> SpeedPropagator::Propagate(
     int slot, const std::vector<graph::RoadId>& sampled_roads,
     const std::vector<double>& sampled_speeds) const {
-  return PropagateFrom(slot, sampled_roads, sampled_speeds, {});
-}
-
-util::Result<GspResult> SpeedPropagator::PropagateFrom(
-    int slot, const std::vector<graph::RoadId>& sampled_roads,
-    const std::vector<double>& sampled_speeds,
-    const std::vector<double>& initial_speeds) const {
   if (slot < 0 || slot >= model_.num_slots()) {
     return util::Status::OutOfRange("slot out of range: " +
                                     std::to_string(slot));
@@ -285,22 +278,12 @@ util::Result<GspResult> SpeedPropagator::PropagateFrom(
     return util::Status::InvalidArgument("hop_limit must be >= 0");
   }
 
-  if (!initial_speeds.empty() &&
-      initial_speeds.size() != static_cast<size_t>(n)) {
-    return util::Status::InvalidArgument(
-        "initial speeds must cover all roads");
-  }
-
   GspResult result;
   // Initialise: sampled roads take the probed data, everything else its
-  // periodic mean (paper "Initialization") or the caller's warm start.
-  if (initial_speeds.empty()) {
-    result.speeds.assign(static_cast<size_t>(n), 0.0);
-    for (graph::RoadId r = 0; r < n; ++r) {
-      result.speeds[static_cast<size_t>(r)] = model_.Mu(slot, r);
-    }
-  } else {
-    result.speeds = initial_speeds;
+  // periodic mean (paper "Initialization").
+  result.speeds.assign(static_cast<size_t>(n), 0.0);
+  for (graph::RoadId r = 0; r < n; ++r) {
+    result.speeds[static_cast<size_t>(r)] = model_.Mu(slot, r);
   }
   Workspace& ws = ThreadWorkspace();
   ws.is_sampled.assign(static_cast<size_t>(n), 0);

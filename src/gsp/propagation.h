@@ -31,12 +31,12 @@ struct GspOptions {
   int max_sweeps = 200;
   /// 0 = relax every reachable road (the paper's full Alg. 5). H > 0 keeps
   /// the relaxation local: only roads within H BFS hops of the sampled set
-  /// update; everything deeper stays frozen at its initial value (mu or the
-  /// warm start). This bounds the per-query work on metropolitan graphs and
-  /// is the locality contract the sharded serve path relies on: with a hop
-  /// limit H every value read during propagation lives within H+1 hops of a
-  /// probe, so a partition halo that deep reproduces the unsharded fixpoint
-  /// bit for bit.
+  /// update; everything deeper stays frozen at its periodic mean mu. This
+  /// bounds the per-query work on metropolitan graphs and is the locality
+  /// contract the sharded serve path relies on: with a hop limit H every
+  /// value read during propagation lives within H+1 hops of a probe, so a
+  /// partition halo that deep reproduces the unsharded fixpoint bit for
+  /// bit.
   int hop_limit = 0;
   /// Sweep kernel; see GspKernel.
   GspKernel kernel = GspKernel::kUnrolled;
@@ -51,7 +51,7 @@ struct GspResult {
   bool converged = false;
   /// Hop distance of each road from the sampled set (-1 = unreachable, or
   /// farther than a positive GspOptions::hop_limit; such roads keep their
-  /// initial value — the periodic mean or the warm start).
+  /// periodic mean).
   std::vector<int> hops;
 };
 
@@ -73,15 +73,6 @@ class SpeedPropagator {
   util::Result<GspResult> Propagate(
       int slot, const std::vector<graph::RoadId>& sampled_roads,
       const std::vector<double>& sampled_speeds) const;
-
-  /// Warm-started variant: non-sampled roads start from `initial_speeds`
-  /// (size |R|) instead of mu. With consecutive 5-minute queries the
-  /// previous answer is an excellent initialiser — the fixed point is the
-  /// same (the objective is strictly convex), only the sweep count drops.
-  util::Result<GspResult> PropagateFrom(
-      int slot, const std::vector<graph::RoadId>& sampled_roads,
-      const std::vector<double>& sampled_speeds,
-      const std::vector<double>& initial_speeds) const;
 
   /// The Eq. (18) kernel: the likelihood-maximising value of v_i given the
   /// current speeds of its neighbours. Exposed for fixed-point tests.

@@ -29,7 +29,7 @@ OcsSolution RunGreedy(const OcsProblem& problem, ScoreFn score) {
       const graph::RoadId candidate = pool[i];
       const int cost = problem.costs().Cost(candidate);
       if (cost > budget_left) continue;
-      if (!problem.RedundancyOk(candidate, objective.selection())) continue;
+      if (!objective.RedundancyOk(i)) continue;
       const double candidate_score = score(objective.Gain(i), cost);
       if (candidate_score > best_score) {
         best_score = candidate_score;
@@ -85,7 +85,7 @@ OcsSolution RunLazyGreedy(const OcsProblem& problem, ScoreFn score) {
     const graph::RoadId road = candidates[top.candidate];
     const int cost = problem.costs().Cost(road);
     if (cost > budget_left) continue;  // permanently infeasible
-    if (!problem.RedundancyOk(road, objective.selection())) continue;
+    if (!objective.RedundancyOk(top.candidate)) continue;
     if (top.stamp != selections) {
       // Stale: re-score against the current selection and requeue.
       heap.push({score(objective.Gain(top.candidate), cost), top.candidate,
@@ -166,7 +166,7 @@ OcsSolution RandomSelect(const OcsProblem& problem, util::Rng& rng) {
     const graph::RoadId candidate = problem.candidate_roads()[k];
     const int cost = problem.costs().Cost(candidate);
     if (cost > budget_left) continue;
-    if (!problem.RedundancyOk(candidate, objective.selection())) continue;
+    if (!objective.RedundancyOk(k)) continue;
     objective.Add(k);
     budget_left -= cost;
   }

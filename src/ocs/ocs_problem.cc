@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 namespace crowdrtse::ocs {
@@ -153,8 +154,7 @@ double OcsProblem::Objective(
 }
 
 bool OcsProblem::RedundancyOk(
-    graph::RoadId candidate,
-    const std::vector<graph::RoadId>& selection) const {
+    graph::RoadId candidate, std::span<const graph::RoadId> selection) const {
   // theta == 1 disables the constraint (corr is capped at 1 anyway, but a
   // candidate correlating at exactly 1.0 with a selected road is then
   // allowed, matching the paper's Theta(1) setting).
@@ -186,7 +186,8 @@ bool OcsProblem::IsFeasible(
 
 IncrementalObjective::IncrementalObjective(const OcsProblem& problem)
     : problem_(problem),
-      best_corr_(problem.queried_roads().size(), 0.0) {}
+      best_corr_(problem.queried_roads().size(), 0.0),
+      redundancy_checked_(problem.candidate_roads().size(), 0) {}
 
 double IncrementalObjective::Gain(size_t k) const {
   // Against the empty selection best_corr_ is all zero: the gathered gain.
@@ -207,6 +208,19 @@ void IncrementalObjective::Add(size_t k) {
   const graph::RoadId road = problem_.candidate_roads()[k];
   selection_.push_back(road);
   total_cost_ += problem_.costs().Cost(road);
+}
+
+bool IncrementalObjective::RedundancyOk(size_t k) {
+  constexpr size_t kFailed = std::numeric_limits<size_t>::max();
+  size_t& checked = redundancy_checked_[k];
+  if (checked == kFailed) return false;
+  if (!problem_.RedundancyOk(problem_.candidate_roads()[k],
+                             std::span(selection_).subspan(checked))) {
+    checked = kFailed;
+    return false;
+  }
+  checked = selection_.size();
+  return true;
 }
 
 }  // namespace crowdrtse::ocs

@@ -2,6 +2,7 @@
 #define CROWDRTSE_OCS_OCS_PROBLEM_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "crowd/cost_model.h"
@@ -62,7 +63,7 @@ class OcsProblem {
   /// keeps the redundancy constraint: corr(candidate, s) <= theta for all
   /// already-selected s.
   bool RedundancyOk(graph::RoadId candidate,
-                    const std::vector<graph::RoadId>& selection) const;
+                    std::span<const graph::RoadId> selection) const;
 
   /// corr(queried_roads()[i], candidate_roads()[k]) at index i of the
   /// returned |R^q|-long span.
@@ -106,6 +107,11 @@ class IncrementalObjective {
   /// Commits candidate k into the selection.
   void Add(size_t k);
 
+  /// problem.RedundancyOk(candidate k, selection()), reading Gamma_R only
+  /// against the roads selected since k last passed. The selection only
+  /// grows, so a pass stays valid and a failure is final.
+  bool RedundancyOk(size_t k);
+
   double objective() const { return objective_; }
   const std::vector<graph::RoadId>& selection() const { return selection_; }
   int total_cost() const { return total_cost_; }
@@ -114,6 +120,9 @@ class IncrementalObjective {
   const OcsProblem& problem_;
   std::vector<double> best_corr_;  // aligned with queried_roads
   std::vector<graph::RoadId> selection_;
+  /// Per candidate: how many leading roads of selection_ it has passed, or
+  /// SIZE_MAX once it failed.
+  std::vector<size_t> redundancy_checked_;
   double objective_ = 0.0;
   int total_cost_ = 0;
 };

@@ -88,9 +88,6 @@ struct EngineStats {
   int64_t queries_rejected = 0;
   int64_t queries_failed = 0;
   int64_t total_paid = 0;
-  double total_ocs_millis = 0.0;
-  double total_crowd_millis = 0.0;
-  double total_gsp_millis = 0.0;
   /// Per-phase latency distributions over all queries that ran the phase.
   util::metrics::LatencySnapshot ocs_latency;
   util::metrics::LatencySnapshot crowd_latency;

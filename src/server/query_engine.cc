@@ -265,12 +265,10 @@ util::Result<QueryResponse> QueryEngine::Serve(
   response.query_id = query_id;
   response.granted_budget = budget;
 
-  // Step 1 — OCS over the roads workers currently cover (optionally only
-  // those whose crowd can fill the full answer quota).
+  // Step 1 — OCS over the roads workers currently cover; a road with fewer
+  // workers than its answer quota aggregates fewer answers.
   util::Timer timer;
-  const std::vector<graph::RoadId> worker_roads =
-      options_.require_full_staffing ? registry_.StaffableRoads(costs_)
-                                     : registry_.CoveredRoads();
+  const std::vector<graph::RoadId> worker_roads = registry_.CoveredRoads();
   util::Result<ocs::OcsSolution> selection = [&] {
     util::trace::Span ocs_span("ocs");
     ocs_span.Annotate("worker_roads",
@@ -553,9 +551,6 @@ EngineStats QueryEngine::stats() const {
   snapshot.gsp_latency = gsp_latency_->Snapshot();
   snapshot.serve_latency = serve_latency_->Snapshot();
   snapshot.gamma_cache = system_.CorrelationCacheStats();
-  snapshot.total_ocs_millis = snapshot.ocs_latency.sum_ms;
-  snapshot.total_crowd_millis = snapshot.crowd_latency.sum_ms;
-  snapshot.total_gsp_millis = snapshot.gsp_latency.sum_ms;
   return snapshot;
 }
 

@@ -50,11 +50,6 @@ class QueryEngine : public Engine {
  public:
   /// Engine behaviour knobs.
   struct Options {
-    /// When true, OCS only considers roads whose present workers can fill
-    /// the full answer quota (no underfilled probes, smaller R^w); when
-    /// false, any covered road is a candidate and shortfalls aggregate
-    /// fewer answers.
-    bool require_full_staffing = false;
     /// Number of SpeedPropagator instances available to concurrent GSP
     /// phases (also the GSP concurrency limit). <= 0 means 4.
     int propagator_pool_size = 0;

@@ -845,9 +845,6 @@ EngineStats ShardedEngine::stats() const {
   snapshot.crowd_latency = crowd_latency_->Snapshot();
   snapshot.gsp_latency = gsp_latency_->Snapshot();
   snapshot.serve_latency = serve_latency_->Snapshot();
-  snapshot.total_ocs_millis = snapshot.ocs_latency.sum_ms;
-  snapshot.total_crowd_millis = snapshot.crowd_latency.sum_ms;
-  snapshot.total_gsp_millis = snapshot.gsp_latency.sum_ms;
   snapshot.shards.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     const EngineStats sub = shards_[s]->engine->stats();

@@ -76,27 +76,12 @@ void WorkerRegistry::AdvanceSlot() {
   }
 }
 
-std::vector<graph::RoadId> WorkerRegistry::CoveredRoads(
-    int min_workers) const {
-  const int threshold = std::max(1, min_workers);
+std::vector<graph::RoadId> WorkerRegistry::CoveredRoads() const {
   std::vector<graph::RoadId> covered;
   for (graph::RoadId r = 0; r < graph_.num_roads(); ++r) {
-    if (workers_on_road_[static_cast<size_t>(r)] >= threshold) {
-      covered.push_back(r);
-    }
+    if (workers_on_road_[static_cast<size_t>(r)] > 0) covered.push_back(r);
   }
   return covered;
-}
-
-std::vector<graph::RoadId> WorkerRegistry::StaffableRoads(
-    const crowd::CostModel& costs) const {
-  const graph::RoadId end = std::min(graph_.num_roads(), costs.num_roads());
-  std::vector<graph::RoadId> staffable;
-  for (graph::RoadId r = 0; r < end; ++r) {
-    const int count = workers_on_road_[static_cast<size_t>(r)];
-    if (count > 0 && count >= costs.Cost(r)) staffable.push_back(r);
-  }
-  return staffable;
 }
 
 int WorkerRegistry::CountOn(graph::RoadId road) const {

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "crowd/cost_model.h"
 #include "crowd/worker.h"
 #include "graph/graph.h"
 #include "util/rng.h"
@@ -37,8 +36,8 @@ struct WorkerRegistryOptions {
 /// Alongside the worker vector the registry keeps one count of workers per
 /// road of the graph. The constructors and ReplaceWorkers rebuild it;
 /// AdvanceSlot moves it by +-1 in the same loop that moves or churns each
-/// worker. CoveredRoads, StaffableRoads and CountOn read those counts, so
-/// they never walk the worker population. Every worker's road must lie in
+/// worker. CoveredRoads and CountOn read those counts, so they never walk
+/// the worker population. Every worker's road must lie in
 /// [0, graph.num_roads()); the constructors and ReplaceWorkers check it.
 class WorkerRegistry {
  public:
@@ -69,16 +68,9 @@ class WorkerRegistry {
   int num_workers() const { return static_cast<int>(workers_.size()); }
   const std::vector<crowd::Worker>& workers() const { return workers_; }
 
-  /// Distinct roads currently hosting at least `min_workers` (and at least
-  /// one) workers, ascending — the candidate set R^w for OCS.
-  std::vector<graph::RoadId> CoveredRoads(int min_workers = 1) const;
-
-  /// Roads whose present workers can fill the road's full answer quota
-  /// (CountOn(road) >= cost). Feeding OCS this stricter candidate set
-  /// guarantees the later task assignment is fully staffed, at the price
-  /// of a smaller R^w.
-  std::vector<graph::RoadId> StaffableRoads(
-      const crowd::CostModel& costs) const;
+  /// Distinct roads currently hosting at least one worker, ascending — the
+  /// candidate set R^w for OCS.
+  std::vector<graph::RoadId> CoveredRoads() const;
 
   /// Number of workers currently on `road` (0 for an id off the graph).
   int CountOn(graph::RoadId road) const;

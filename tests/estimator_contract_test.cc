@@ -8,10 +8,8 @@
 #include <string>
 
 #include "baselines/grmc.h"
-#include "baselines/knn_days.h"
 #include "baselines/lasso.h"
 #include "baselines/periodic_estimator.h"
-#include "baselines/ridge.h"
 #include "core/gsp_estimator.h"
 #include "graph/generators.h"
 #include "rtf/moment_estimator.h"
@@ -66,19 +64,11 @@ std::unique_ptr<baselines::RealtimeEstimator> MakeEstimator(
     return std::make_unique<baselines::LassoEstimator>(
         w.graph, w.history, baselines::LassoEstimatorOptions{});
   }
-  if (name == "Ridge") {
-    return std::make_unique<baselines::RidgeEstimator>(
-        w.graph, w.history, baselines::RidgeEstimatorOptions{});
-  }
   if (name == "GRMC") {
     baselines::GrmcOptions options;
     options.max_iterations = 8;
     return std::make_unique<baselines::GrmcEstimator>(w.graph, w.history,
                                                       options);
-  }
-  if (name == "kNN-days") {
-    return std::make_unique<baselines::KnnDaysEstimator>(
-        w.graph, w.history, baselines::KnnDaysOptions{});
   }
   return nullptr;
 }
@@ -167,8 +157,7 @@ TEST_P(EstimatorContractTest, EstimateTargetsConsistentOnTargets) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEstimators, EstimatorContractTest,
-                         ::testing::Values("GSP", "Per", "LASSO", "Ridge",
-                                           "GRMC", "kNN-days"));
+                         ::testing::Values("GSP", "Per", "LASSO", "GRMC"));
 
 }  // namespace
 }  // namespace crowdrtse

@@ -62,7 +62,7 @@ TEST_F(OcsProblemTest, RedundancyConstraint) {
   ASSERT_TRUE(tight.ok());
   EXPECT_FALSE(tight->IsFeasible({1, 2}));
   EXPECT_TRUE(tight->RedundancyOk(2, {}));
-  EXPECT_FALSE(tight->RedundancyOk(2, {1}));
+  EXPECT_FALSE(tight->RedundancyOk(2, std::vector<graph::RoadId>{1}));
   const auto loose = Make({0}, {1.0}, {1, 2}, 5, 0.6);
   ASSERT_TRUE(loose.ok());
   EXPECT_TRUE(loose->IsFeasible({1, 2}));
@@ -71,7 +71,7 @@ TEST_F(OcsProblemTest, RedundancyConstraint) {
 TEST_F(OcsProblemTest, RedundancyNeverAllowsReselection) {
   const auto problem = Make({0}, {1.0}, {1, 2}, 5, 1.0);
   ASSERT_TRUE(problem.ok());
-  EXPECT_FALSE(problem->RedundancyOk(1, {1}));
+  EXPECT_FALSE(problem->RedundancyOk(1, std::vector<graph::RoadId>{1}));
 }
 
 TEST_F(OcsProblemTest, CreateValidation) {

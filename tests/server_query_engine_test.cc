@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
@@ -11,6 +12,7 @@
 
 #include "graph/generators.h"
 #include "gsp/uncertainty.h"
+#include "obs/flight_recorder.h"
 #include "traffic/time_slots.h"
 #include "traffic/traffic_simulator.h"
 #include "util/rng.h"
@@ -133,20 +135,6 @@ TEST_F(QueryEngineTest, WorksAcrossMovingWorkers) {
   EXPECT_EQ(engine.stats().queries_served, 5);
   const std::string report = engine.stats().Report();
   EXPECT_NE(report.find("served 5"), std::string::npos);
-}
-
-TEST_F(QueryEngineTest, FullStaffingOptionPreventsUnderfilledRoads) {
-  BudgetLedger ledger(-1, 20);
-  QueryEngine::Options options;
-  options.require_full_staffing = true;
-  QueryEngine engine(*system_, *registry_, ledger, costs_, *crowd_sim_,
-                     options);
-  for (int i = 0; i < 5; ++i) {
-    const auto response = engine.Serve(MakeRequest(100 + i), truth_);
-    ASSERT_TRUE(response.ok());
-    EXPECT_TRUE(response->underfilled_roads.empty());
-    registry_->AdvanceSlot();
-  }
 }
 
 // Regression (budget leak): a query that dies after its crowdsourcing
@@ -751,6 +739,83 @@ TEST_F(QueryEngineTest, DrainRefusesNewQueriesExplicitly) {
   }
   EXPECT_FALSE(engine.ServePeriodicFallback(MakeRequest(), truth_).ok());
   EXPECT_EQ(engine.stats().queries_served, 1);
+}
+
+// Tracing, stage profiling and the flight recorder observe a query; they
+// never take part in it. The same faulted day, served once plain, once with
+// every query traced and profiled, and once with the recorder off, must
+// give bitwise-equal answers, degraded sets and spend.
+TEST_F(QueryEngineTest, TracingAndRecordingLeaveAnswersUnchanged) {
+  struct Day {
+    std::vector<double> speeds;
+    std::vector<graph::RoadId> degraded;
+    std::vector<int> paid;
+    int64_t served = 0;
+    int64_t retries = 0;
+    int64_t traces = 0;
+  };
+  const auto serve_day = [&](auto configure) {
+    WorkerRegistryOptions registry_options;
+    registry_options.num_workers = 600;
+    WorkerRegistry registry(graph_, registry_options, 7);
+    crowd::CrowdSimulator crowd_sim(crowd::CrowdSimOptions{}, util::Rng(9));
+    BudgetLedger ledger(-1, 12);
+    util::SimClock clock;
+    QueryEngine::Options options;
+    options.fault_tolerant_dispatch = true;
+    options.clock = &clock;
+    crowd::FaultSpec storm;
+    storm.drop_rate = 0.3;
+    storm.delay_rate = 0.2;
+    options.fault_plan = crowd::FaultPlan(storm, /*seed=*/2026);
+    configure(options);
+    QueryEngine engine(*system_, registry, ledger, costs_, crowd_sim,
+                       options);
+    Day day;
+    for (int slot = 96; slot < 104; slot += 2) {
+      for (int q = 0; q < 3; ++q) {
+        const auto response = engine.Serve(MakeRequest(slot), truth_);
+        EXPECT_TRUE(response.ok()) << response.status().ToString();
+        if (!response.ok()) continue;
+        day.speeds.insert(day.speeds.end(), response->queried_speeds.begin(),
+                          response->queried_speeds.end());
+        day.degraded.insert(day.degraded.end(),
+                            response->degraded_roads.begin(),
+                            response->degraded_roads.end());
+        day.paid.push_back(response->paid);
+      }
+      registry.AdvanceSlot();
+    }
+    day.served = engine.stats().queries_served;
+    day.retries = engine.stats().crowd_retries;
+    day.traces = engine.traces().collected();
+    return day;
+  };
+
+  const Day plain = serve_day([](QueryEngine::Options&) {});
+  const Day traced = serve_day([](QueryEngine::Options& options) {
+    options.trace_sample_rate = 1.0;
+    options.profile_sample_rate = 1.0;
+  });
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  const bool recorder_was_enabled = recorder.enabled();
+  recorder.SetEnabled(false);
+  const Day unrecorded = serve_day([](QueryEngine::Options&) {});
+  recorder.SetEnabled(recorder_was_enabled);
+
+  EXPECT_EQ(plain.served, 12);
+  EXPECT_GT(plain.retries, 0);  // the storm really hit the dispatch path
+  EXPECT_EQ(traced.traces, traced.served);
+  for (const Day* other : {&traced, &unrecorded}) {
+    ASSERT_EQ(other->speeds.size(), plain.speeds.size());
+    EXPECT_EQ(std::memcmp(other->speeds.data(), plain.speeds.data(),
+                          plain.speeds.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(other->degraded, plain.degraded);
+    EXPECT_EQ(other->paid, plain.paid);
+    EXPECT_EQ(other->served, plain.served);
+    EXPECT_EQ(other->retries, plain.retries);
+  }
 }
 
 TEST_F(QueryEngineTest, EstimatesTrackTruthReasonably) {

@@ -94,27 +94,6 @@ TEST(WorkerRegistryTest, ChurnAssignsFreshIds) {
   EXPECT_LT(fresh, 80);
 }
 
-TEST(WorkerRegistryTest, StaffableRoadsRespectQuotas) {
-  const graph::Graph g = TestGraph();
-  WorkerRegistryOptions options;
-  options.num_workers = 300;
-  WorkerRegistry registry(g, options, 21);
-  // With unit costs, staffable == covered.
-  const crowd::CostModel unit =
-      crowd::CostModel::Constant(g.num_roads(), 1);
-  EXPECT_EQ(registry.StaffableRoads(unit), registry.CoveredRoads());
-  // With an impossible quota nothing is staffable.
-  const crowd::CostModel huge =
-      crowd::CostModel::Constant(g.num_roads(), 1000);
-  EXPECT_TRUE(registry.StaffableRoads(huge).empty());
-  // Every staffable road really has the required head-count.
-  const crowd::CostModel quota =
-      crowd::CostModel::Constant(g.num_roads(), 4);
-  for (graph::RoadId r : registry.StaffableRoads(quota)) {
-    EXPECT_GE(registry.CountOn(r), 4);
-  }
-}
-
 TEST(WorkerRegistryTest, CoveredRoadsReflectsPlacement) {
   const graph::Graph g = TestGraph();
   WorkerRegistryOptions options;
@@ -129,8 +108,6 @@ TEST(WorkerRegistryTest, CoveredRoadsReflectsPlacement) {
     total += registry.CountOn(r);
   }
   EXPECT_EQ(total, 1000);
-  // Thresholded coverage shrinks.
-  EXPECT_LE(registry.CoveredRoads(20).size(), covered.size());
 }
 
 TEST(WorkerRegistryTest, EmptyGraphSpawnsNoWorkers) {

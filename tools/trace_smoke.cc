@@ -14,14 +14,20 @@
 //     world produces ONE stitched trace at /trace/<id>: every parent span
 //     resolves (no orphans), a single root "serve", per-shard "shard"
 //     children covering every owner shard, and a "merge" span — plus a
-//     /debug/flight dump that parses and contains the shard.split event.
+//     /debug/flight dump that parses and contains the shard.split event;
+//   * the flight recorder stays an observer within its overhead contract
+//     (DESIGN.md §10): a faulted day served with the recorder on and off,
+//     interleaved min-of-3, gives bitwise-equal answers and the recorder-on
+//     wall time stays within 2% (+10 ms) of recorder-off.
 // Exits nonzero on the first class of failure, printing every violation,
 // so CI gets a complete diagnosis in one run. The two artifacts are left
 // next to the binary for upload.
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -44,6 +50,7 @@
 #include "util/clock.h"
 #include "util/rng.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace crowdrtse::tools {
 namespace {
@@ -664,6 +671,109 @@ void WriteArtifact(const std::string& path, const std::string& content) {
   std::printf("wrote %s (%zu bytes)\n", path.c_str(), content.size());
 }
 
+/// Answers of one faulted day, in serve order.
+struct FaultedDay {
+  std::vector<double> speeds;
+  std::vector<graph::RoadId> degraded;
+  int64_t paid = 0;
+  double wall_seconds = 0.0;
+};
+
+/// Serves a day of queries (two per 40-minute slot) under a 30% drop + 20%
+/// delay fault storm on a SimClock, from fresh registry, ledger and crowd
+/// state, so every call replays the same day.
+FaultedDay ServeFaultedDay(core::CrowdRtse& system,
+                           const bench::SemiSyntheticWorld& world) {
+  server::WorkerRegistryOptions registry_options;
+  registry_options.num_workers = world.network.num_roads() * 3;
+  server::WorkerRegistry registry(world.network, registry_options, 5);
+  const crowd::CostModel costs =
+      crowd::CostModel::Constant(world.network.num_roads(), 2);
+  server::BudgetLedger ledger(1'000'000, /*per_query_cap=*/30);
+  crowd::CrowdSimulator crowd_sim({}, util::Rng(9));
+  util::SimClock clock;
+  server::QueryEngine::Options engine_options;
+  engine_options.fault_tolerant_dispatch = true;
+  engine_options.clock = &clock;
+  crowd::FaultSpec storm;
+  storm.drop_rate = 0.3;
+  storm.delay_rate = 0.2;
+  engine_options.fault_plan = crowd::FaultPlan(storm, /*seed=*/2026);
+  server::QueryEngine engine(system, registry, ledger, costs, crowd_sim,
+                             engine_options);
+  const std::vector<graph::RoadId> district = bench::MakeQuery(world, 20, 100);
+
+  FaultedDay day;
+  const util::Timer timer;
+  for (int slot = 0; slot < traffic::kSlotsPerDay; slot += 8) {
+    for (int q = 0; q < 2; ++q) {
+      server::QueryRequest request;
+      request.slot = slot;
+      request.queried = district;
+      const auto response = engine.Serve(request, world.truth);
+      CROWDRTSE_CHECK(response.ok());
+      day.speeds.insert(day.speeds.end(), response->queried_speeds.begin(),
+                        response->queried_speeds.end());
+      day.degraded.insert(day.degraded.end(),
+                          response->degraded_roads.begin(),
+                          response->degraded_roads.end());
+    }
+    registry.AdvanceSlot();
+  }
+  day.wall_seconds = timer.ElapsedSeconds();
+  day.paid = ledger.total_spent();
+  return day;
+}
+
+/// The flight recorder's overhead contract (DESIGN.md §10): recording is an
+/// observer — answers bitwise equal with the recorder on and off — and
+/// costs at most 2% of the recorder-off wall time. Interleaved on/off reps,
+/// min-of-3 each, so machine noise (frequency drift, a background task)
+/// hits both sides alike; 10 ms absolute slack keeps sub-second runs on
+/// noisy machines from failing on scheduler jitter alone.
+void CheckRecorderOverhead() {
+  bench::WorldOptions world_options;
+  world_options.num_roads = 300;
+  world_options.num_days = 10;
+  const bench::SemiSyntheticWorld world = bench::BuildWorld(world_options);
+  auto system = core::CrowdRtse::BuildOffline(world.network, world.history,
+                                              core::CrowdRtseConfig{});
+  CROWDRTSE_CHECK(system.ok());
+  // Warm Gamma_R for every served slot so both sides time serving only.
+  for (int slot = 0; slot < traffic::kSlotsPerDay; slot += 8) {
+    CROWDRTSE_CHECK(system->CorrelationsFor(slot).ok());
+  }
+
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  const bool recorder_was_enabled = recorder.enabled();
+  double best_on = 0.0;
+  double best_off = 0.0;
+  FaultedDay on;
+  FaultedDay off;
+  for (int rep = 0; rep < 3; ++rep) {
+    recorder.SetEnabled(true);
+    on = ServeFaultedDay(*system, world);
+    recorder.SetEnabled(false);
+    off = ServeFaultedDay(*system, world);
+    best_on = rep == 0 ? on.wall_seconds : std::min(best_on, on.wall_seconds);
+    best_off =
+        rep == 0 ? off.wall_seconds : std::min(best_off, off.wall_seconds);
+  }
+  recorder.SetEnabled(recorder_was_enabled);
+
+  Check(on.speeds.size() == off.speeds.size() &&
+            std::memcmp(on.speeds.data(), off.speeds.data(),
+                        on.speeds.size() * sizeof(double)) == 0,
+        "recorder on/off answers differ");
+  Check(on.degraded == off.degraded, "recorder on/off degraded roads differ");
+  Check(on.paid == off.paid, "recorder on/off spend differs");
+  Check(best_on <= best_off * 1.02 + 0.010,
+        "flight recorder overhead above 2% + 10 ms");
+  std::printf("flight recorder: on %.3fs  off %.3fs  overhead %+.2f%%\n",
+              best_on, best_off,
+              best_off > 0.0 ? (best_on - best_off) / best_off * 100.0 : 0.0);
+}
+
 int Run(const std::string& trace_path, const std::string& prom_path) {
   // A small faulted world: every query traced, every fault path exercised.
   bench::WorldOptions world_options;
@@ -730,6 +840,7 @@ int Run(const std::string& trace_path, const std::string& prom_path) {
   ValidatePrometheus(prometheus, stats, engine.traces().collected());
 
   RunShardedStitching();
+  CheckRecorderOverhead();
 
   if (g_failures > 0) {
     std::printf("trace smoke FAILED: %d violations\n", g_failures);
