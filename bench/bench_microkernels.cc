@@ -128,6 +128,23 @@ double MeasureNsPerOp(int reps, Fn&& fn) {
   return timer.ElapsedSeconds() * 1e9 / std::max(1, reps);
 }
 
+/// Median of max(3, reps) individually timed calls after one warm-up (the
+/// upper median for an even count), for kernels slow enough that a
+/// handful of reps is all a run can afford: one slow rep on a shared host
+/// cannot move it.
+template <typename Fn>
+double MedianNsPerOp(int reps, Fn&& fn) {
+  fn();
+  std::vector<double> ns(static_cast<size_t>(std::max(3, reps)));
+  for (double& sample : ns) {
+    util::Timer timer;
+    fn();
+    sample = timer.ElapsedSeconds() * 1e9;
+  }
+  std::nth_element(ns.begin(), ns.begin() + ns.size() / 2, ns.end());
+  return ns[ns.size() / 2];
+}
+
 const char* KernelName(gsp::GspKernel kernel) {
   switch (kernel) {
     case gsp::GspKernel::kReference: return "reference";
@@ -199,7 +216,8 @@ void Run(const Flags& flags) {
   }
 
   // --- Gamma_R: full sparse rebuild vs incremental row refresh after a
-  // CCD-style perturbation of 8 edge correlations. Both serial, same rows.
+  // CCD-style perturbation of 8 edge correlations. Both serial, same rows,
+  // each the median of its reps.
   const auto full = rtf::CorrelationTable::Compute(
       model, 0, rtf::PathWeightMode::kNegLog, nullptr, flags.hop_radius);
   CROWDRTSE_CHECK(full.ok());
@@ -221,8 +239,7 @@ void Run(const Flags& flags) {
   std::printf("  gamma refresh: %zu changed edges -> %zu affected rows "
               "of %d\n", changed_edges.size(), affected.size(), n);
 
-  const int gamma_reps = std::max(1, flags.reps / 2);
-  const double gamma_full_ns = MeasureNsPerOp(gamma_reps, [&] {
+  const double gamma_full_ns = MedianNsPerOp(flags.reps, [&] {
     const auto rebuilt = rtf::CorrelationTable::Compute(
         refined, 0, rtf::PathWeightMode::kNegLog, nullptr,
         flags.hop_radius);
@@ -231,7 +248,7 @@ void Run(const Flags& flags) {
   });
   record("gamma_full_rebuild", gamma_full_ns);
 
-  const double gamma_incremental_ns = MeasureNsPerOp(flags.reps, [&] {
+  const double gamma_incremental_ns = MedianNsPerOp(flags.reps, [&] {
     const auto patched =
         full->RefreshedRows(*graph, edge_rho, affected, nullptr);
     CROWDRTSE_CHECK(patched.ok());

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstdint>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -15,42 +16,177 @@ namespace crowdrtse::rtf {
 
 namespace {
 
-/// Sparse row of the C-hop-bounded closure from `src`: best_k(v) = max over
+/// CSR rows of the C-hop-bounded closure for a list of sources, in source
+/// order: row i is [offsets[i], offsets[i + 1]) of cols/vals.
+struct SparseRows {
+  std::vector<int64_t> offsets{0};
+  std::vector<graph::RoadId> cols;
+  std::vector<double> vals;
+};
+
+/// Builds sparse rows of the C-hop-bounded closure: best_k(v) = max over
 /// paths of at most k edges of the product of edge rhos, by Bellman-Ford
-/// layering over the C-hop ball. Every candidate product multiplies its
-/// rhos in path order from the source and competes through max, so the
-/// result is independent of neighbour iteration order — an induced subgraph
-/// containing the whole ball reproduces these doubles bit for bit (the
-/// partition halo invariant). std::map keeps the emitted row sorted by
-/// destination id for the CSR layout.
-std::map<graph::RoadId, double> BoundedHopRow(
-    const graph::Graph& graph, const std::vector<double>& edge_rho,
-    graph::RoadId src, int hop_radius) {
-  std::map<graph::RoadId, double> best;
-  best[src] = 1.0;
-  for (int k = 0; k < hop_radius; ++k) {
-    std::map<graph::RoadId, double> next = best;
-    bool changed = false;
-    for (const auto& [u, val] : best) {
-      if (val <= 0.0) continue;
-      for (const graph::Adjacency& adj : graph.Neighbors(u)) {
-        const double rho = edge_rho[static_cast<size_t>(adj.edge)];
-        if (rho <= 0.0) continue;
-        const double cand = val * rho;
-        auto [it, inserted] = next.try_emplace(adj.neighbor, cand);
-        if (inserted) {
-          changed = true;
-        } else if (cand > it->second) {
-          it->second = cand;
-          changed = true;
+/// layering over the C-hop ball of the source. Every candidate product
+/// multiplies its rhos in path order from the source and competes through
+/// max, so the result is independent of neighbour iteration order — an
+/// induced subgraph containing the whole ball reproduces these doubles bit
+/// for bit (the partition halo invariant).
+///
+/// One builder serves many rows: its n-sized value and state arrays are
+/// reset after each row through the list of roads that row reached, so a
+/// row costs O(ball) and allocates nothing once the buffers have grown.
+class BoundedHopRowBuilder {
+ public:
+  BoundedHopRowBuilder(const graph::Graph& graph,
+                       const std::vector<double>& edge_rho, int hop_radius)
+      : graph_(graph),
+        edge_rho_(edge_rho),
+        hop_radius_(hop_radius),
+        value_(static_cast<size_t>(graph.num_roads()), 0.0),
+        state_(static_cast<size_t>(graph.num_roads()), 0) {}
+
+  /// Appends the row of `src` to `out`: entries with corr > 0, sorted by
+  /// destination id.
+  void AppendRow(graph::RoadId src, SparseRows& out) {
+    Reach(src, 1.0);
+    frontier_.assign(1, {src, 1.0});
+    // Hop k relaxes from the values at the end of hop k - 1 (the frontier
+    // snapshot), never from values written during hop k, so no path of
+    // more than C edges contributes. Only roads whose value changed in
+    // the last hop are relaxed: values only grow, and a road that did not
+    // change already offered all its products one hop earlier, so
+    // relaxing it again changes nothing. A first visit counts as a change
+    // even when the product underflowed to 0 (the road is reached, with
+    // value 0); an empty frontier is the early exit.
+    for (int k = 0; k < hop_radius_ && !frontier_.empty(); ++k) {
+      for (const auto& [u, val] : frontier_) {
+        if (val <= 0.0) continue;
+        for (const graph::Adjacency& adj : graph_.Neighbors(u)) {
+          const double rho = edge_rho_[static_cast<size_t>(adj.edge)];
+          if (rho <= 0.0) continue;
+          const double cand = val * rho;
+          const size_t v = static_cast<size_t>(adj.neighbor);
+          if (!(state_[v] & kReached)) {
+            Reach(adj.neighbor, cand);
+          } else if (cand > value_[v]) {
+            value_[v] = cand;
+          } else {
+            continue;
+          }
+          if (!(state_[v] & kChanged)) {
+            state_[v] |= kChanged;
+            changed_.push_back(adj.neighbor);
+          }
         }
       }
+      frontier_.clear();
+      for (graph::RoadId v : changed_) {
+        state_[static_cast<size_t>(v)] &= ~kChanged;
+        frontier_.push_back({v, value_[static_cast<size_t>(v)]});
+      }
+      changed_.clear();
     }
-    best = std::move(next);
-    if (!changed) break;
+    value_[static_cast<size_t>(src)] = 1.0;
+
+    std::sort(reached_.begin(), reached_.end());
+    for (graph::RoadId v : reached_) {
+      double& value = value_[static_cast<size_t>(v)];
+      if (value > 0.0) {
+        out.cols.push_back(v);
+        out.vals.push_back(value);
+      }
+      value = 0.0;
+      state_[static_cast<size_t>(v)] = 0;
+    }
+    reached_.clear();
+    out.offsets.push_back(static_cast<int64_t>(out.cols.size()));
   }
-  best[src] = 1.0;
-  return best;
+
+ private:
+  static constexpr uint8_t kReached = 1;
+  static constexpr uint8_t kChanged = 2;
+
+  void Reach(graph::RoadId road, double value) {
+    value_[static_cast<size_t>(road)] = value;
+    state_[static_cast<size_t>(road)] = kReached;
+    reached_.push_back(road);
+  }
+
+  const graph::Graph& graph_;
+  const std::vector<double>& edge_rho_;
+  const int hop_radius_;
+  std::vector<double> value_;   // n; 0 outside the current row's ball
+  std::vector<uint8_t> state_;  // n; kReached | kChanged bits
+  std::vector<graph::RoadId> reached_;
+  std::vector<graph::RoadId> changed_;
+  std::vector<std::pair<graph::RoadId, double>> frontier_;
+};
+
+/// Rows a block builds before it sizes its buffers for the rest.
+constexpr size_t kSampleRows = 64;
+
+/// Reserves `block` for `rows` rows at half again the mean size of the
+/// rows it holds, so the buffers are not regrown (and their pages touched
+/// again) row by row. Untouched reserve costs address space only.
+void ReserveForBlock(size_t rows, SparseRows& block) {
+  const size_t built = block.offsets.size() - 1;
+  const size_t expect = block.cols.size() * rows / built * 3 / 2;
+  block.cols.reserve(expect);
+  block.vals.reserve(expect);
+}
+
+/// Sparse rows for `sources`, in source order. With a multi-thread
+/// `fanout` the sources split into one contiguous block per thread; each
+/// block has its own builder and output buffers, and the blocks are
+/// joined in order, so the rows do not depend on the thread count.
+SparseRows BoundedHopRows(const graph::Graph& graph,
+                          const std::vector<double>& edge_rho,
+                          int hop_radius,
+                          const std::vector<graph::RoadId>& sources,
+                          util::ThreadPool* fanout) {
+  const size_t count = sources.size();
+  const size_t num_blocks =
+      fanout != nullptr && fanout->num_threads() > 1 && count > 1
+          ? std::min(count, static_cast<size_t>(fanout->num_threads()))
+          : 1;
+  std::vector<SparseRows> blocks(num_blocks);
+  const auto build_blocks = [&](size_t begin, size_t end) {
+    BoundedHopRowBuilder builder(graph, edge_rho, hop_radius);
+    for (size_t b = begin; b < end; ++b) {
+      const size_t lo = count * b / num_blocks;
+      const size_t hi = count * (b + 1) / num_blocks;
+      // Filled in a local and moved out: blocks[] of different threads
+      // share cache lines.
+      SparseRows block;
+      block.offsets.reserve(hi - lo + 1);
+      for (size_t i = lo; i < hi; ++i) {
+        if (i == lo + kSampleRows) ReserveForBlock(hi - lo, block);
+        builder.AppendRow(sources[i], block);
+      }
+      blocks[b] = std::move(block);
+    }
+  };
+  if (num_blocks == 1) {
+    build_blocks(0, 1);
+    return std::move(blocks[0]);
+  }
+  fanout->ParallelFor(num_blocks, build_blocks);
+
+  SparseRows rows;
+  size_t nnz = 0;
+  for (const SparseRows& block : blocks) nnz += block.cols.size();
+  rows.offsets.reserve(count + 1);
+  rows.cols.reserve(nnz);
+  rows.vals.reserve(nnz);
+  for (const SparseRows& block : blocks) {
+    const int64_t base = static_cast<int64_t>(rows.cols.size());
+    for (size_t i = 1; i < block.offsets.size(); ++i) {
+      rows.offsets.push_back(base + block.offsets[i]);
+    }
+    rows.cols.insert(rows.cols.end(), block.cols.begin(), block.cols.end());
+    rows.vals.insert(rows.vals.end(), block.vals.begin(), block.vals.end());
+  }
+  return rows;
 }
 
 }  // namespace
@@ -96,38 +232,16 @@ util::Result<CorrelationTable> CorrelationTable::FromEdgeCorrelations(
   const int n = graph.num_roads();
 
   if (hop_radius > 0) {
+    std::vector<graph::RoadId> sources(static_cast<size_t>(n));
+    std::iota(sources.begin(), sources.end(), 0);
+    SparseRows rows =
+        BoundedHopRows(graph, edge_rho, hop_radius, sources, fanout);
     CorrelationTable table;
     table.num_roads_ = n;
     table.hop_radius_ = hop_radius;
-    std::vector<std::map<graph::RoadId, double>> rows(
-        static_cast<size_t>(n));
-    const auto compute_rows = [&](size_t begin, size_t end) {
-      for (size_t src = begin; src < end; ++src) {
-        rows[src] = BoundedHopRow(graph, edge_rho,
-                                  static_cast<graph::RoadId>(src),
-                                  hop_radius);
-      }
-    };
-    if (fanout != nullptr && fanout->num_threads() > 1 && n > 1) {
-      fanout->ParallelFor(static_cast<size_t>(n), compute_rows);
-    } else {
-      compute_rows(0, static_cast<size_t>(n));
-    }
-    size_t nnz = 0;
-    for (const auto& row : rows) nnz += row.size();
-    table.row_offsets_.reserve(static_cast<size_t>(n) + 1);
-    table.cols_.reserve(nnz);
-    table.vals_.reserve(nnz);
-    table.row_offsets_.push_back(0);
-    for (const auto& row : rows) {
-      for (const auto& [dst, corr] : row) {
-        if (corr <= 0.0) continue;
-        table.cols_.push_back(dst);
-        table.vals_.push_back(corr);
-      }
-      table.row_offsets_.push_back(
-          static_cast<int64_t>(table.cols_.size()));
-    }
+    table.row_offsets_ = std::move(rows.offsets);
+    table.cols_ = std::move(rows.cols);
+    table.vals_ = std::move(rows.vals);
     return table;
   }
   CorrelationTable table;
@@ -218,37 +332,22 @@ util::Result<CorrelationTable> CorrelationTable::RefreshedRows(
           "edge correlations must lie in [0, 1]");
     }
   }
-  std::vector<char> refresh(static_cast<size_t>(num_roads_), 0);
+  // row_at[r]: index of r in unique_sources, -1 for rows carried over.
+  std::vector<int64_t> row_at(static_cast<size_t>(num_roads_), -1);
   std::vector<graph::RoadId> unique_sources;
   for (graph::RoadId s : sources) {
     if (s < 0 || s >= num_roads_) {
       return util::Status::InvalidArgument("source road out of range: " +
                                            std::to_string(s));
     }
-    if (!refresh[static_cast<size_t>(s)]) {
-      refresh[static_cast<size_t>(s)] = 1;
+    if (row_at[static_cast<size_t>(s)] < 0) {
+      row_at[static_cast<size_t>(s)] =
+          static_cast<int64_t>(unique_sources.size());
       unique_sources.push_back(s);
     }
   }
-
-  std::vector<std::map<graph::RoadId, double>> rows(unique_sources.size());
-  const auto compute_rows = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      rows[i] = BoundedHopRow(graph, edge_rho, unique_sources[i],
-                              hop_radius_);
-    }
-  };
-  if (fanout != nullptr && fanout->num_threads() > 1 &&
-      unique_sources.size() > 1) {
-    fanout->ParallelFor(unique_sources.size(), compute_rows);
-  } else {
-    compute_rows(0, unique_sources.size());
-  }
-  std::vector<int64_t> row_at(static_cast<size_t>(num_roads_), -1);
-  for (size_t i = 0; i < unique_sources.size(); ++i) {
-    row_at[static_cast<size_t>(unique_sources[i])] =
-        static_cast<int64_t>(i);
-  }
+  const SparseRows rows =
+      BoundedHopRows(graph, edge_rho, hop_radius_, unique_sources, fanout);
 
   CorrelationTable out;
   out.num_roads_ = num_roads_;
@@ -258,25 +357,21 @@ util::Result<CorrelationTable> CorrelationTable::RefreshedRows(
   out.vals_.reserve(vals_.size());
   out.row_offsets_.push_back(0);
   for (graph::RoadId r = 0; r < num_roads_; ++r) {
-    if (refresh[static_cast<size_t>(r)]) {
-      const auto& row = rows[static_cast<size_t>(
-          row_at[static_cast<size_t>(r)])];
-      for (const auto& [dst, corr] : row) {
-        if (corr <= 0.0) continue;
-        out.cols_.push_back(dst);
-        out.vals_.push_back(corr);
-      }
-    } else {
-      // Untouched rows carry over bit for bit.
-      const int64_t begin = row_offsets_[static_cast<size_t>(r)];
-      const int64_t end = row_offsets_[static_cast<size_t>(r) + 1];
-      out.cols_.insert(out.cols_.end(),
-                       cols_.begin() + static_cast<ptrdiff_t>(begin),
-                       cols_.begin() + static_cast<ptrdiff_t>(end));
-      out.vals_.insert(out.vals_.end(),
-                       vals_.begin() + static_cast<ptrdiff_t>(begin),
-                       vals_.begin() + static_cast<ptrdiff_t>(end));
-    }
+    // Refreshed rows come from the rebuilt slices; untouched rows carry
+    // over bit for bit.
+    const int64_t i = row_at[static_cast<size_t>(r)];
+    const bool fresh = i >= 0;
+    const std::vector<graph::RoadId>& src_cols = fresh ? rows.cols : cols_;
+    const std::vector<double>& src_vals = fresh ? rows.vals : vals_;
+    const std::vector<int64_t>& src_offsets =
+        fresh ? rows.offsets : row_offsets_;
+    const size_t at = fresh ? static_cast<size_t>(i) : static_cast<size_t>(r);
+    const auto begin = static_cast<ptrdiff_t>(src_offsets[at]);
+    const auto end = static_cast<ptrdiff_t>(src_offsets[at + 1]);
+    out.cols_.insert(out.cols_.end(), src_cols.begin() + begin,
+                     src_cols.begin() + end);
+    out.vals_.insert(out.vals_.end(), src_vals.begin() + begin,
+                     src_vals.begin() + end);
     out.row_offsets_.push_back(static_cast<int64_t>(out.cols_.size()));
   }
   return out;

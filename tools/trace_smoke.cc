@@ -23,7 +23,6 @@
 // so CI gets a complete diagnosis in one run. The two artifacts are left
 // next to the binary for upload.
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -55,6 +54,8 @@
 namespace crowdrtse::tools {
 namespace {
 
+using JsonValue = net::json::Value;
+
 int g_failures = 0;
 
 void Check(bool ok, const std::string& what) {
@@ -62,186 +63,6 @@ void Check(bool ok, const std::string& what) {
   std::printf("FAIL: %s\n", what.c_str());
   ++g_failures;
 }
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser — just enough DOM to walk the Chrome trace export.
-// Rejects malformed input (that is the point of the smoke test); tolerates
-// duplicate keys by keeping all pairs.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  /// Parses the whole input as one value; false on any syntax error or
-  /// trailing garbage.
-  bool Parse(JsonValue* out) {
-    pos_ = 0;
-    if (!ParseValue(out)) return false;
-    SkipSpace();
-    return pos_ == text_.size();
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(const char* word) {
-    const size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            for (int i = 0; i < 4; ++i) {
-              if (!std::isxdigit(
-                      static_cast<unsigned char>(text_[pos_ + static_cast<size_t>(i)]))) {
-                return false;
-              }
-            }
-            pos_ += 4;
-            out->push_back('?');  // codepoint value is irrelevant here
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kObject;
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        SkipSpace();
-        std::string key;
-        if (!ParseString(&key)) return false;
-        SkipSpace();
-        if (pos_ >= text_.size() || text_[pos_++] != ':') return false;
-        JsonValue value;
-        if (!ParseValue(&value)) return false;
-        out->object.emplace_back(std::move(key), std::move(value));
-        SkipSpace();
-        if (pos_ >= text_.size()) return false;
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kArray;
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        JsonValue value;
-        if (!ParseValue(&value)) return false;
-        out->array.push_back(std::move(value));
-        SkipSpace();
-        if (pos_ >= text_.size()) return false;
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->string);
-    }
-    if (c == 't') {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
-      return Literal("true");
-    }
-    if (c == 'f') {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      return Literal("false");
-    }
-    if (c == 'n') {
-      out->kind = JsonValue::Kind::kNull;
-      return Literal("null");
-    }
-    // Number.
-    char* end = nullptr;
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = std::strtod(text_.c_str() + pos_, &end);
-    if (end == text_.c_str() + pos_) return false;
-    pos_ = static_cast<size_t>(end - text_.c_str());
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Chrome trace validation.
@@ -256,29 +77,29 @@ struct SpanEvent {
 
 void ValidateChromeTrace(const std::string& json,
                          const std::vector<int64_t>& query_ids) {
-  JsonValue root;
-  Check(JsonParser(json).Parse(&root), "chrome trace is not well-formed JSON");
+  const util::Result<JsonValue> root = net::json::Parse(json);
+  Check(root.ok(), "chrome trace is not well-formed JSON");
   if (g_failures > 0) return;
-  Check(root.kind == JsonValue::Kind::kObject, "trace root is not an object");
-  const JsonValue* events = root.Find("traceEvents");
-  Check(events != nullptr && events->kind == JsonValue::Kind::kArray,
+  Check(root->is_object(), "trace root is not an object");
+  const JsonValue* events = root->Find("traceEvents");
+  Check(events != nullptr && events->is_array(),
         "trace has no traceEvents array");
   if (g_failures > 0) return;
 
   // Group complete ("X") span events by tid == query id.
   std::map<int64_t, std::vector<SpanEvent>> by_query;
-  for (const JsonValue& event : events->array) {
+  for (const JsonValue& event : events->AsArray()) {
     const JsonValue* ph = event.Find("ph");
     const JsonValue* tid = event.Find("tid");
     Check(ph != nullptr && tid != nullptr, "event lacks ph/tid");
     if (ph == nullptr || tid == nullptr) continue;
-    if (ph->string != "X") continue;  // skip thread_name metadata
+    if (ph->AsString() != "X") continue;  // skip thread_name metadata
     const JsonValue* args = event.Find("args");
     const JsonValue* name = event.Find("name");
     const JsonValue* ts = event.Find("ts");
     const JsonValue* dur = event.Find("dur");
     Check(name != nullptr && ts != nullptr && dur != nullptr &&
-              args != nullptr && args->kind == JsonValue::Kind::kObject,
+              args != nullptr && args->is_object(),
           "span event lacks name/ts/dur/args");
     if (name == nullptr || ts == nullptr || dur == nullptr ||
         args == nullptr) {
@@ -292,16 +113,16 @@ void ValidateChromeTrace(const std::string& json,
     if (span_id == nullptr || parent == nullptr || query_id == nullptr) {
       continue;
     }
-    Check(static_cast<int64_t>(query_id->number) ==
-              static_cast<int64_t>(tid->number),
+    Check(static_cast<int64_t>(query_id->AsDouble()) ==
+              static_cast<int64_t>(tid->AsDouble()),
           "span query_id does not match its tid");
     SpanEvent span;
-    span.name = name->string;
-    span.span_id = static_cast<int64_t>(span_id->number);
-    span.parent = static_cast<int64_t>(parent->number);
-    span.ts = ts->number;
-    span.dur = dur->number;
-    by_query[static_cast<int64_t>(tid->number)].push_back(std::move(span));
+    span.name = name->AsString();
+    span.span_id = static_cast<int64_t>(span_id->AsDouble());
+    span.parent = static_cast<int64_t>(parent->AsDouble());
+    span.ts = ts->AsDouble();
+    span.dur = dur->AsDouble();
+    by_query[static_cast<int64_t>(tid->AsDouble())].push_back(std::move(span));
   }
 
   for (int64_t id : query_ids) {
@@ -457,12 +278,11 @@ util::Status HttpPost(int fd, const std::string& target,
 
 void ValidateStitchedTrace(const std::string& json, int64_t query_id,
                            const std::set<int>& want_shards) {
-  JsonValue root;
-  Check(JsonParser(json).Parse(&root),
-        "stitched trace is not well-formed JSON");
+  const util::Result<JsonValue> root = net::json::Parse(json);
+  Check(root.ok(), "stitched trace is not well-formed JSON");
   if (g_failures > 0) return;
-  const JsonValue* events = root.Find("traceEvents");
-  Check(events != nullptr && events->kind == JsonValue::Kind::kArray,
+  const JsonValue* events = root->Find("traceEvents");
+  Check(events != nullptr && events->is_array(),
         "stitched trace has no traceEvents array");
   if (g_failures > 0) return;
 
@@ -471,9 +291,9 @@ void ValidateStitchedTrace(const std::string& json, int64_t query_id,
   int roots = 0;
   std::set<int> shard_spans;
   bool have_merge = false;
-  for (const JsonValue& event : events->array) {
+  for (const JsonValue& event : events->AsArray()) {
     const JsonValue* ph = event.Find("ph");
-    if (ph == nullptr || ph->string != "X") continue;
+    if (ph == nullptr || ph->AsString() != "X") continue;
     const JsonValue* tid = event.Find("tid");
     const JsonValue* args = event.Find("args");
     const JsonValue* name = event.Find("name");
@@ -481,41 +301,41 @@ void ValidateStitchedTrace(const std::string& json, int64_t query_id,
       Check(false, "stitched span lacks tid/args/name");
       continue;
     }
-    Check(static_cast<int64_t>(tid->number) == query_id,
+    Check(static_cast<int64_t>(tid->AsDouble()) == query_id,
           "stitched trace carries a span of foreign query " +
-              std::to_string(static_cast<int64_t>(tid->number)));
+              std::to_string(static_cast<int64_t>(tid->AsDouble())));
     const JsonValue* span_id = args->Find("span_id");
     const JsonValue* parent = args->Find("parent");
     if (span_id == nullptr || parent == nullptr) {
       Check(false, "stitched span lacks span_id/parent");
       continue;
     }
-    by_id[static_cast<int64_t>(span_id->number)] = &event;
+    by_id[static_cast<int64_t>(span_id->AsDouble())] = &event;
     spans.push_back(&event);
-    if (static_cast<int64_t>(parent->number) == 0) {
+    if (static_cast<int64_t>(parent->AsDouble()) == 0) {
       ++roots;
-      Check(name->string == "serve",
-            "stitched root span is '" + name->string + "', want 'serve'");
+      Check(name->AsString() == "serve",
+            "stitched root span is '" + name->AsString() + "', want 'serve'");
     }
-    if (name->string == "shard") {
+    if (name->AsString() == "shard") {
       const JsonValue* shard = args->Find("shard");
       Check(shard != nullptr, "shard span lacks a shard annotation");
       if (shard != nullptr) {
-        shard_spans.insert(std::atoi(shard->string.c_str()));
+        shard_spans.insert(std::atoi(shard->AsString().c_str()));
       }
     }
-    if (name->string == "merge") have_merge = true;
+    if (name->AsString() == "merge") have_merge = true;
   }
   Check(roots == 1, "stitched trace has " + std::to_string(roots) +
                         " roots, want exactly 1");
   int orphans = 0;
   for (const JsonValue* span : spans) {
     const int64_t parent = static_cast<int64_t>(
-        span->Find("args")->Find("parent")->number);
+        span->Find("args")->Find("parent")->AsDouble());
     if (parent == 0) continue;
     if (by_id.find(parent) == by_id.end()) {
       ++orphans;
-      Check(false, "orphan span '" + span->Find("name")->string +
+      Check(false, "orphan span '" + span->Find("name")->AsString() +
                        "': parent " + std::to_string(parent) +
                        " not in this trace");
     }
@@ -647,8 +467,7 @@ int RunShardedStitching() {
   Check(HttpGet(http->get(), "/debug/flight", &status, &flight).ok() &&
             status == 200,
         "/debug/flight failed");
-  JsonValue flight_root;
-  Check(JsonParser(flight).Parse(&flight_root),
+  Check(net::json::Parse(flight).ok(),
         "/debug/flight is not well-formed JSON");
   Check(flight.find("\"shard.split\"") != std::string::npos,
         "flight dump lacks the shard.split event of the cross-shard query");
