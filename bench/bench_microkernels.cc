@@ -6,8 +6,8 @@
 //     gsp::GspKernel).
 //   - Gamma_R maintenance: full sparse-closure rebuild vs the incremental
 //     RefreshedRows patch after a few edge correlations change.
-//   - Graph primitives: the flat single-allocation MultiSourceBfsInto and
-//     the flat-weight DijkstraInto.
+//   - Graph primitives: the epoch-stamped StampedBfs (a full unbounded
+//     walk from the sampled roads) and the flat-weight DijkstraInto.
 //   - OCS: OcsProblem::Create (which gathers the query's Gamma_R block)
 //     plus LazyHybridGreedy, on the bench's sparse Gamma_R for a fixed
 //     20-road query over its C-hop ball, budget 30 and cost 2 per road.
@@ -258,10 +258,10 @@ void Run(const Flags& flags) {
 
   // --- Graph primitives.
   {
-    graph::BfsLevels levels;
+    graph::StampedBfs bfs;
     const double ns = MeasureNsPerOp(flags.reps, [&] {
-      graph::MultiSourceBfsInto(*graph, sampled, levels);
-      g_sink += static_cast<double>(levels.num_levels());
+      bfs.Run(*graph, sampled);
+      g_sink += static_cast<double>(bfs.num_levels());
     });
     record("bfs_flat", ns);
   }

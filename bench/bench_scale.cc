@@ -14,6 +14,14 @@
 //   - partition balance <= 1.2, every configuration;
 //   - strict (default): answered QPS at the largest K >= 3x the K=1 QPS.
 //
+// Work per query: every response carries deterministic work counts (roads
+// visited by the candidate ball, worker-index entries read, candidates
+// scored, GSP road updates). The first kWorkQueries queries of the mix are
+// summed at each K, on the timed sweep's map and on one more map of
+// kWorkRoads roads (served by one client, untimed). Work counts do
+// not depend on timing or load, so tools/bench_trend gates how work per
+// query grows with the city exactly.
+//
 // Artifacts: BENCH_scale.json (the sweep as one JSON object) next to the
 // binary, or wherever --out points.
 //
@@ -25,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,6 +104,10 @@ constexpr int kSlots = 8;  // a short synthetic day keeps history cheap
 constexpr int kDays = 3;
 constexpr int kQuerySize = 4;
 constexpr int kPerQueryCap = 12;
+// Work counts: the first kWorkQueries queries of the mix, summed per K on
+// the timed map and on one kWorkRoads-road map.
+constexpr int kWorkRoads = 8000;
+constexpr int kWorkQueries = 2000;
 
 /// Deterministic synthetic speed field: a west-east congestion gradient
 /// with per-slot waves and day-to-day jitter (so moment estimation sees
@@ -107,7 +120,70 @@ double SpeedAt(int day, int slot, graph::RoadId road, double x) {
   return base + wave + jitter;
 }
 
+/// One synthetic metro world: the map, its history and "today", uniform
+/// costs and two noiseless workers on every road.
+struct World {
+  graph::Graph graph;
+  std::vector<std::pair<double, double>> positions;
+  traffic::HistoryStore history;
+  traffic::DayMatrix truth;
+  crowd::CostModel costs;
+  std::vector<crowd::Worker> workers;
+};
+
+World BuildWorld(int roads) {
+  World world;
+  graph::MetroNetworkOptions metro;
+  metro.num_roads = roads;
+  util::Timer gen_timer;
+  auto graph = graph::MetroNetwork(metro, &world.positions);
+  CROWDRTSE_CHECK(graph.ok());
+  world.graph = std::move(*graph);
+  const int n = world.graph.num_roads();
+  std::printf("metro network: %d roads, %d edges (%.2fs)\n", n,
+              world.graph.num_edges(), gen_timer.ElapsedSeconds());
+
+  world.history = traffic::HistoryStore(n, kDays, kSlots);
+  world.truth = traffic::DayMatrix(kSlots, n);
+  for (int slot = 0; slot < kSlots; ++slot) {
+    for (graph::RoadId r = 0; r < n; ++r) {
+      const double x = world.positions[static_cast<size_t>(r)].first;
+      for (int day = 0; day < kDays; ++day) {
+        world.history.At(day, slot, r) = SpeedAt(day, slot, r, x);
+      }
+      world.truth.At(slot, r) = SpeedAt(kDays, slot, r, x);  // "today"
+    }
+  }
+  world.costs = crowd::CostModel::Constant(n, 2);
+  world.workers.reserve(static_cast<size_t>(n) * 2);
+  crowd::WorkerId next_id = 0;
+  for (graph::RoadId r = 0; r < n; ++r) {
+    for (int k = 0; k < 2; ++k) {
+      crowd::Worker w;
+      w.id = next_id++;
+      w.road = r;
+      w.bias = 1.0;
+      w.noise_kmh = 0.0;
+      world.workers.push_back(w);
+    }
+  }
+  return world;
+}
+
+/// Query q of the deterministic localized mix: 4 geographically adjacent
+/// roads, spread across the whole city, slots rotating through the day.
+server::QueryRequest MixQuery(int q, int num_roads) {
+  server::QueryRequest request;
+  request.slot = q % kSlots;
+  const graph::RoadId base = static_cast<graph::RoadId>(
+      (static_cast<int64_t>(q) * 9973) %
+      static_cast<int64_t>(num_roads - kQuerySize));
+  for (int k = 0; k < kQuerySize; ++k) request.queried.push_back(base + k);
+  return request;
+}
+
 struct SweepPoint {
+  int roads = 0;
   int shards = 0;
   double partition_seconds = 0.0;
   double build_seconds = 0.0;
@@ -120,7 +196,153 @@ struct SweepPoint {
   int64_t paid = 0;
   int64_t edge_cut = 0;
   double balance_ratio = 0.0;
+  /// Work of the first kWorkQueries queries of the mix.
+  int64_t work_queries = 0;
+  server::ServeWork work;
+
+  double WorkPerQuery() const {
+    return work_queries > 0 ? static_cast<double>(work.Total()) /
+                                  static_cast<double>(work_queries)
+                            : 0.0;
+  }
 };
+
+/// Partitions `world` K ways, builds a ShardedEngine over it and serves
+/// queries [0, queries) of the mix from `clients` closed-loop clients,
+/// checking the accounting invariants. Work sums over q < work_queries.
+SweepPoint ServePoint(const World& world, int num_shards, int clients,
+                      int queries, int halo, int work_queries) {
+  SweepPoint point;
+  point.roads = world.graph.num_roads();
+  point.shards = num_shards;
+  const int n = world.graph.num_roads();
+
+  partition::PartitionerOptions partition_options;
+  partition_options.num_shards = num_shards;
+  partition_options.halo_radius = halo;
+  partition_options.seed = 17;
+  util::Timer partition_timer;
+  const auto partition = partition::PartitionByGeography(
+      world.graph, world.positions, partition_options);
+  CROWDRTSE_CHECK(partition.ok());
+  point.partition_seconds = partition_timer.ElapsedSeconds();
+  point.edge_cut = partition::EdgeCut(world.graph, *partition);
+  point.balance_ratio = partition->BalanceRatio();
+  CROWDRTSE_CHECK(point.balance_ratio <= 1.2);
+
+  core::CrowdRtseConfig config;
+  config.correlation_hop_radius = 2;
+  config.gsp.hop_limit = 2;
+  config.prune_zero_gain_candidates = true;
+  crowd::CrowdSimOptions crowd_options;
+  crowd_options.min_bias = 1.0;
+  crowd_options.max_bias = 1.0;
+  crowd_options.min_noise_kmh = 0.0;
+  crowd_options.max_noise_kmh = 0.0;
+  crowd_options.outlier_rate = 0.0;
+
+  server::BudgetLedger ledger(/*campaign_budget=*/-1, kPerQueryCap);
+  server::ShardedEngineOptions engine_options;
+  engine_options.engine.propagator_pool_size = clients;
+  engine_options.crowd = crowd_options;
+  util::Timer build_timer;
+  auto engine = server::ShardedEngine::Create(
+      world.graph, *partition, world.history, config, world.costs,
+      world.workers, ledger, world.truth, engine_options);
+  CROWDRTSE_CHECK(engine.ok());
+  point.build_seconds = build_timer.ElapsedSeconds();
+  std::printf(
+      "%d roads, K=%d: partition %.2fs (cut %lld, balance %.3f), build "
+      "%.2fs\n",
+      n, num_shards, point.partition_seconds,
+      static_cast<long long>(point.edge_cut), point.balance_ratio,
+      point.build_seconds);
+
+  std::atomic<int64_t> attempts{0};
+  std::atomic<int64_t> total_response_paid{0};
+  std::mutex work_mutex;
+  util::Timer wall;
+  std::vector<std::thread> threads;
+  const int per_client = (queries + clients - 1) / clients;
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      const int begin = c * per_client;
+      const int end = std::min(queries, begin + per_client);
+      server::ServeWork work;
+      int64_t counted = 0;
+      for (int q = begin; q < end; ++q) {
+        attempts.fetch_add(1, std::memory_order_relaxed);
+        const auto response = (*engine)->Serve(MixQuery(q, n), world.truth);
+        CROWDRTSE_CHECK(response.ok());
+        total_response_paid.fetch_add(response->paid,
+                                      std::memory_order_relaxed);
+        if (q < work_queries) {
+          work += response->work;
+          ++counted;
+        }
+      }
+      std::lock_guard<std::mutex> lock(work_mutex);
+      point.work += work;
+      point.work_queries += counted;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  point.wall_seconds = wall.ElapsedSeconds();
+
+  const server::EngineStats stats = (*engine)->stats();
+  point.served = stats.queries_served;
+  point.rejected = stats.queries_rejected;
+  point.failed = stats.queries_failed;
+  point.paid = stats.total_paid;
+  point.answered_qps =
+      static_cast<double>(point.served) / point.wall_seconds;
+  int64_t sub_served = 0;
+  for (const server::ShardStats& shard : stats.shards) {
+    std::printf("  shard[%d]: served %lld, gamma bytes %lld\n", shard.shard,
+                static_cast<long long>(shard.queries_served),
+                static_cast<long long>(shard.gamma_cache_bytes));
+    sub_served += shard.queries_served;
+  }
+  // Each multi-owner query runs one sub-serve per owner shard, so the
+  // sub-serve surplus over router serves counts the extra fan-out groups.
+  point.cross_shard = std::max<int64_t>(0, sub_served - point.served);
+
+  // The accounting invariants the sweep certifies at every K.
+  CROWDRTSE_CHECK(point.failed == 0);
+  CROWDRTSE_CHECK(point.rejected == 0);
+  CROWDRTSE_CHECK(point.served + point.rejected == attempts.load());
+  CROWDRTSE_CHECK(ledger.reserved_outstanding() == 0);
+  CROWDRTSE_CHECK(ledger.total_spent() == total_response_paid.load());
+  CROWDRTSE_CHECK(ledger.total_spent() == point.paid);
+
+  std::printf(
+      "%d roads, K=%d: %lld served in %.2fs -> %.1f answered QPS; work per "
+      "query %.1f (ball %lld, workers %lld, candidates %lld, gsp %lld over "
+      "%lld queries)\n",
+      n, num_shards, static_cast<long long>(point.served),
+      point.wall_seconds, point.answered_qps, point.WorkPerQuery(),
+      static_cast<long long>(point.work.ball_roads),
+      static_cast<long long>(point.work.workers_read),
+      static_cast<long long>(point.work.candidates_scored),
+      static_cast<long long>(point.work.gsp_roads_relaxed),
+      static_cast<long long>(point.work_queries));
+  (*engine)->Drain();
+  return point;
+}
+
+std::string WorkJson(const SweepPoint& p) {
+  return "{\"roads\": " + std::to_string(p.roads) +
+         ", \"shards\": " + std::to_string(p.shards) +
+         ", \"queries\": " + std::to_string(p.work_queries) +
+         ", \"ball_roads\": " + std::to_string(p.work.ball_roads) +
+         ", \"workers_read\": " + std::to_string(p.work.workers_read) +
+         ", \"candidates_scored\": " +
+         std::to_string(p.work.candidates_scored) +
+         ", \"gsp_roads_relaxed\": " +
+         std::to_string(p.work.gsp_roads_relaxed) +
+         ", \"work_per_query\": " + util::FormatDouble(p.WorkPerQuery(), 3) +
+         "}";
+}
 
 void DumpArtifact(const std::string& path, const std::string& content) {
   std::FILE* file = std::fopen(path.c_str(), "wb");
@@ -141,154 +363,30 @@ void Run(const Flags& flags) {
   std::printf("}, %d clients, %d queries ===\n", flags.clients,
               flags.queries);
 
-  graph::MetroNetworkOptions metro;
-  metro.num_roads = flags.roads;
-  std::vector<std::pair<double, double>> positions;
-  util::Timer gen_timer;
-  const auto graph = graph::MetroNetwork(metro, &positions);
-  CROWDRTSE_CHECK(graph.ok());
-  const int n = graph->num_roads();
-  std::printf("metro network: %d roads, %d edges (%.2fs)\n", n,
-              graph->num_edges(), gen_timer.ElapsedSeconds());
-
-  traffic::HistoryStore history(n, kDays, kSlots);
-  traffic::DayMatrix truth(kSlots, n);
-  for (int slot = 0; slot < kSlots; ++slot) {
-    for (graph::RoadId r = 0; r < n; ++r) {
-      const double x = positions[static_cast<size_t>(r)].first;
-      for (int day = 0; day < kDays; ++day) {
-        history.At(day, slot, r) = SpeedAt(day, slot, r, x);
-      }
-      truth.At(slot, r) = SpeedAt(kDays, slot, r, x);  // "today"
-    }
-  }
-
-  core::CrowdRtseConfig config;
-  config.correlation_hop_radius = 2;
-  config.gsp.hop_limit = 2;
-  config.prune_zero_gain_candidates = true;
-
-  const crowd::CostModel costs = crowd::CostModel::Constant(n, 2);
-  std::vector<crowd::Worker> workers;
-  workers.reserve(static_cast<size_t>(n) * 2);
-  crowd::WorkerId next_id = 0;
-  for (graph::RoadId r = 0; r < n; ++r) {
-    for (int k = 0; k < 2; ++k) {
-      crowd::Worker w;
-      w.id = next_id++;
-      w.road = r;
-      w.bias = 1.0;
-      w.noise_kmh = 0.0;
-      workers.push_back(w);
-    }
-  }
-  crowd::CrowdSimOptions crowd_options;
-  crowd_options.min_bias = 1.0;
-  crowd_options.max_bias = 1.0;
-  crowd_options.min_noise_kmh = 0.0;
-  crowd_options.max_noise_kmh = 0.0;
-  crowd_options.outlier_rate = 0.0;
-
   std::vector<SweepPoint> sweep;
-  for (const int num_shards : flags.shards) {
-    SweepPoint point;
-    point.shards = num_shards;
-
-    partition::PartitionerOptions partition_options;
-    partition_options.num_shards = num_shards;
-    partition_options.halo_radius = flags.halo;
-    partition_options.seed = 17;
-    util::Timer partition_timer;
-    const auto partition =
-        partition::PartitionByGeography(*graph, positions,
-                                        partition_options);
-    CROWDRTSE_CHECK(partition.ok());
-    point.partition_seconds = partition_timer.ElapsedSeconds();
-    point.edge_cut = partition::EdgeCut(*graph, *partition);
-    point.balance_ratio = partition->BalanceRatio();
-    CROWDRTSE_CHECK(point.balance_ratio <= 1.2);
-
-    server::BudgetLedger ledger(/*campaign_budget=*/-1, kPerQueryCap);
-    server::ShardedEngineOptions engine_options;
-    engine_options.engine.propagator_pool_size = flags.clients;
-    engine_options.crowd = crowd_options;
-    util::Timer build_timer;
-    auto engine = server::ShardedEngine::Create(
-        *graph, *partition, history, config, costs, workers, ledger, truth,
-        engine_options);
-    CROWDRTSE_CHECK(engine.ok());
-    point.build_seconds = build_timer.ElapsedSeconds();
-    std::printf(
-        "K=%d: partition %.2fs (cut %lld, balance %.3f), build %.2fs\n",
-        num_shards, point.partition_seconds,
-        static_cast<long long>(point.edge_cut), point.balance_ratio,
-        point.build_seconds);
-
-    // Closed-loop clients replay the same deterministic localized query
-    // mix: 4 geographically adjacent roads per query, spread across the
-    // whole city, slots rotating through the day.
-    std::atomic<int64_t> attempts{0};
-    std::atomic<int64_t> total_response_paid{0};
-    util::Timer wall;
-    std::vector<std::thread> clients;
-    const int per_client =
-        (flags.queries + flags.clients - 1) / flags.clients;
-    for (int c = 0; c < flags.clients; ++c) {
-      clients.emplace_back([&, c] {
-        const int begin = c * per_client;
-        const int end = std::min(flags.queries, begin + per_client);
-        for (int q = begin; q < end; ++q) {
-          server::QueryRequest request;
-          request.slot = q % kSlots;
-          const graph::RoadId base = static_cast<graph::RoadId>(
-              (static_cast<int64_t>(q) * 9973) %
-              static_cast<int64_t>(n - kQuerySize));
-          for (int k = 0; k < kQuerySize; ++k) {
-            request.queried.push_back(base + k);
-          }
-          attempts.fetch_add(1, std::memory_order_relaxed);
-          const auto response = (*engine)->Serve(request, truth);
-          CROWDRTSE_CHECK(response.ok());
-          total_response_paid.fetch_add(response->paid,
-                                        std::memory_order_relaxed);
-        }
-      });
+  std::vector<SweepPoint> work;
+  {
+    const World world = BuildWorld(flags.roads);
+    for (const int num_shards : flags.shards) {
+      sweep.push_back(ServePoint(world, num_shards, flags.clients,
+                                 flags.queries, flags.halo,
+                                 kWorkQueries));
     }
-    for (std::thread& t : clients) t.join();
-    point.wall_seconds = wall.ElapsedSeconds();
-
-    const server::EngineStats stats = (*engine)->stats();
-    point.served = stats.queries_served;
-    point.rejected = stats.queries_rejected;
-    point.failed = stats.queries_failed;
-    point.paid = stats.total_paid;
-    point.answered_qps =
-        static_cast<double>(point.served) / point.wall_seconds;
-    int64_t sub_served = 0;
-    for (const server::ShardStats& shard : stats.shards) {
-      std::printf("  shard[%d]: served %lld, gamma bytes %lld\n",
-                  shard.shard, static_cast<long long>(shard.queries_served),
-                  static_cast<long long>(shard.gamma_cache_bytes));
-      sub_served += shard.queries_served;
-    }
-    // Each multi-owner query runs one sub-serve per owner shard, so the
-    // sub-serve surplus over router serves counts the extra fan-out groups.
-    point.cross_shard = std::max<int64_t>(0, sub_served - point.served);
-
-    // The accounting invariants the sweep certifies at every K.
-    CROWDRTSE_CHECK(point.failed == 0);
-    CROWDRTSE_CHECK(point.rejected == 0);
-    CROWDRTSE_CHECK(point.served + point.rejected == attempts.load());
-    CROWDRTSE_CHECK(ledger.reserved_outstanding() == 0);
-    CROWDRTSE_CHECK(ledger.total_spent() == total_response_paid.load());
-    CROWDRTSE_CHECK(ledger.total_spent() == point.paid);
-
-    std::printf("K=%d: %lld served in %.2fs -> %.1f answered QPS\n",
-                num_shards, static_cast<long long>(point.served),
-                point.wall_seconds, point.answered_qps);
-    (*engine)->Drain();
-    sweep.push_back(point);
   }
+  // Work-only points: one client, exactly the counted queries, untimed.
+  {
+    const World world = BuildWorld(kWorkRoads);
+    for (const int num_shards : flags.shards) {
+      work.push_back(ServePoint(world, num_shards, /*clients=*/1,
+                                kWorkQueries, flags.halo, kWorkQueries));
+    }
+  }
+  work.insert(work.end(), sweep.begin(), sweep.end());
+  std::sort(work.begin(), work.end(),
+            [](const SweepPoint& a, const SweepPoint& b) {
+              return a.roads != b.roads ? a.roads < b.roads
+                                        : a.shards < b.shards;
+            });
 
   double ratio = 0.0;
   const auto base_point =
@@ -332,6 +430,12 @@ void Run(const Flags& flags) {
             ", \"failed\": " + std::to_string(p.failed) +
             ", \"paid\": " + std::to_string(p.paid) + "}";
     json += (i + 1 < sweep.size()) ? ",\n" : "\n";
+  }
+  json += "  ],\n";
+  json += "  \"work\": [\n";
+  for (size_t i = 0; i < work.size(); ++i) {
+    json += "    " + WorkJson(work[i]);
+    json += (i + 1 < work.size()) ? ",\n" : "\n";
   }
   json += "  ],\n";
   json += "  \"qps_ratio_1_to_max\": " + util::FormatDouble(ratio, 3) +

@@ -162,6 +162,16 @@ class CrowdRtse {
       const crowd::CostModel& costs, int budget,
       SelectorKind selector = SelectorKind::kHybridGreedy);
 
+  /// True when OCS can gain only from roads within C hops of the query: a
+  /// sparse closure (correlation_hop_radius C > 0) with
+  /// prune_zero_gain_candidates. The serve path then hands SelectRoads the
+  /// covered roads of the query's C-hop ball instead of every covered road
+  /// of the map; pruning keeps the same candidates either way.
+  bool BallScopedSelection() const {
+    return config_.correlation_hop_radius > 0 &&
+           config_.prune_zero_gain_candidates;
+  }
+
   /// Online step 3 — GSP: infer every road's speed from the probed data.
   util::Result<gsp::GspResult> Estimate(
       int slot, const std::vector<graph::RoadId>& sampled_roads,

@@ -65,36 +65,32 @@ util::Result<CrowdRound> CrowdSimulator::Probe(
 util::Result<CrowdRound> CrowdSimulator::ProbeWithAssignments(
     const AssignmentPlan& plan, const std::vector<Worker>& workers,
     const traffic::DayMatrix& truth, int slot) {
+  return ProbeWithAssignments(plan, WorkerIndex(workers, 0), truth, slot);
+}
+
+util::Result<CrowdRound> CrowdSimulator::ProbeWithAssignments(
+    const AssignmentPlan& plan, const WorkerIndex& index,
+    const traffic::DayMatrix& truth, int slot) {
   if (slot < 0 || slot >= truth.num_slots()) {
     return util::Status::OutOfRange("slot out of range: " +
                                     std::to_string(slot));
   }
-  // Resolve only the plan's worker ids, in one pass over the population.
-  std::vector<WorkerId> ids;
-  ids.reserve(plan.assignments.size());
-  for (const TaskAssignment& task : plan.assignments) {
-    ids.push_back(task.worker);
-  }
-  const std::vector<const Worker*> assigned =
-      GatherWorkers(ids, {}, workers).by_id;
-
   // Generate one answer per assignment, grouped by road.
   std::map<graph::RoadId, std::vector<SpeedAnswer>> answers_by_road;
   CrowdRound round;
-  for (size_t i = 0; i < plan.assignments.size(); ++i) {
-    const TaskAssignment& task = plan.assignments[i];
+  for (const TaskAssignment& task : plan.assignments) {
     if (task.road < 0 || task.road >= truth.num_roads()) {
       return util::Status::InvalidArgument("assigned road out of range: " +
                                            std::to_string(task.road));
     }
-    if (assigned[i] == nullptr) {
+    const Worker* worker = index.FindById(task.worker);
+    if (worker == nullptr) {
       return util::Status::InvalidArgument(
           "assignment references unknown worker " +
           std::to_string(task.worker));
     }
-    const Worker& worker = *assigned[i];
     const SpeedAnswer answer =
-        GenerateAnswer(worker, task.road, truth, slot);
+        GenerateAnswer(*worker, task.road, truth, slot);
     answers_by_road[task.road].push_back(answer);
     round.raw_answers.push_back(answer);
     round.total_paid += task.payment_units;

@@ -62,8 +62,13 @@ class CrowdSimulator {
 
   /// Executes a concrete assignment plan: each assigned worker reports her
   /// road once, with *her own* persistent bias and noise (not the ad-hoc
-  /// ranges). Underfilled roads simply aggregate fewer answers. `workers`
-  /// must contain every assigned worker id.
+  /// ranges). Underfilled roads simply aggregate fewer answers. `index`
+  /// must hold every assigned worker id (resolved by WorkerIndex::FindById).
+  util::Result<CrowdRound> ProbeWithAssignments(
+      const AssignmentPlan& plan, const WorkerIndex& index,
+      const traffic::DayMatrix& truth, int slot);
+
+  /// ProbeWithAssignments over a plain population (indexed by id first).
   util::Result<CrowdRound> ProbeWithAssignments(
       const AssignmentPlan& plan, const std::vector<Worker>& workers,
       const traffic::DayMatrix& truth, int slot);

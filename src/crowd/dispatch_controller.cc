@@ -87,6 +87,14 @@ util::Result<DispatchRound> DispatchController::Run(
     const AssignmentPlan& plan, const std::vector<Worker>& workers,
     const CostModel& costs, const FaultPlan& faults,
     const AnswerFn& answer) const {
+  return Run(plan, WorkerIndex(workers, costs.num_roads()), costs, faults,
+             answer);
+}
+
+util::Result<DispatchRound> DispatchController::Run(
+    const AssignmentPlan& plan, const WorkerIndex& index,
+    const CostModel& costs, const FaultPlan& faults,
+    const AnswerFn& answer) const {
   if (!answer) {
     return util::Status::InvalidArgument("dispatch needs an answer source");
   }
@@ -94,10 +102,10 @@ util::Result<DispatchRound> DispatchController::Run(
     return util::Status::InvalidArgument(
         "dispatch needs max_attempts >= 1 and a positive deadline");
   }
-  // One pass over the population resolves the plan's worker ids and fills
-  // the replacement pools for straggler reassignment: every worker on a
-  // selected road who was not hired by the plan, cleanest first (the same
-  // order AssignTasks hires in, so a reassignment hires the next-best).
+  // The index resolves the plan's worker ids and fills the replacement
+  // pools for straggler reassignment: every worker on a selected road who
+  // was not hired by the plan, cleanest first (the same order AssignTasks
+  // hires in, so a reassignment hires the next-best).
   std::vector<WorkerId> hired;
   hired.reserve(plan.assignments.size());
   for (const TaskAssignment& t : plan.assignments) hired.push_back(t.worker);
@@ -107,7 +115,7 @@ util::Result<DispatchRound> DispatchController::Run(
   std::sort(selected.begin(), selected.end());
   selected.erase(std::unique(selected.begin(), selected.end()),
                  selected.end());
-  const RoundWorkers gathered = GatherWorkers(hired, selected, workers);
+  const RoundWorkers gathered = GatherWorkers(hired, selected, index);
   for (size_t i = 0; i < plan.assignments.size(); ++i) {
     const TaskAssignment& task = plan.assignments[i];
     if (gathered.by_id[i] == nullptr) {

@@ -137,10 +137,18 @@ class DispatchController {
 
   const DispatchOptions& options() const { return options_; }
 
-  /// Dispatches `plan` and drives it to resolution. `workers` is the full
-  /// available population (replacement workers for reassignment come from
-  /// it); roads in the plan with zero accepted answers come back degraded,
-  /// never as an error — the round itself only fails on malformed input.
+  /// Dispatches `plan` and drives it to resolution. `index` covers the
+  /// available population: hired workers resolve by id, and replacement
+  /// workers for reassignment come from the selected roads' buckets. Roads
+  /// in the plan with zero accepted answers come back degraded, never as an
+  /// error — the round itself only fails on malformed input.
+  util::Result<DispatchRound> Run(const AssignmentPlan& plan,
+                                  const WorkerIndex& index,
+                                  const CostModel& costs,
+                                  const FaultPlan& faults,
+                                  const AnswerFn& answer) const;
+
+  /// Run over a plain population, indexed over the cost model's roads.
   util::Result<DispatchRound> Run(const AssignmentPlan& plan,
                                   const std::vector<Worker>& workers,
                                   const CostModel& costs,

@@ -1,42 +1,52 @@
 #include "graph/bfs.h"
 
-#include <utility>
+#include <algorithm>
 
 namespace crowdrtse::graph {
 
-void MultiSourceBfsInto(const Graph& graph,
-                        const std::vector<RoadId>& sources,
-                        BfsLevels& out, int max_hops) {
-  out.hops.assign(static_cast<size_t>(graph.num_roads()), -1);
-  out.order.clear();
-  out.level_offsets.clear();
-  for (RoadId s : sources) {
-    if (!graph.IsValidRoad(s)) continue;
-    if (out.hops[static_cast<size_t>(s)] == 0) continue;  // duplicate source
-    out.hops[static_cast<size_t>(s)] = 0;
-    out.order.push_back(s);
+void StampedBfs::Run(const Graph& graph, std::span<const RoadId> sources,
+                     int max_hops) {
+  const size_t n = static_cast<size_t>(graph.num_roads());
+  if (stamp_.size() < n) {
+    stamp_.resize(n, 0);
+    hops_.resize(n, -1);
   }
-  if (out.order.empty()) return;
-  out.level_offsets.push_back(0);
-  out.level_offsets.push_back(static_cast<int32_t>(out.order.size()));
+  if (++epoch_ == 0) {
+    // The epoch wrapped: clear every stamp once so none can alias.
+    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    epoch_ = 1;
+  }
+  order_.clear();
+  level_offsets_.clear();
+  for (RoadId s : sources) {
+    if (!graph.IsValidRoad(s) || Hops(s) == 0) continue;  // duplicate
+    stamp_[static_cast<size_t>(s)] = epoch_;
+    hops_[static_cast<size_t>(s)] = 0;
+    order_.push_back(s);
+  }
+  if (order_.empty()) return;
+  level_offsets_.push_back(0);
+  level_offsets_.push_back(static_cast<int32_t>(order_.size()));
   // FIFO processing discovers each level contiguously: every hop-(h+1) road
   // is appended while hop-h roads drain.
   size_t head = 0;
   int deepest = 0;
-  while (head < out.order.size()) {
-    const RoadId r = out.order[head++];
-    const int next_hop = out.hops[static_cast<size_t>(r)] + 1;
+  while (head < order_.size()) {
+    const RoadId r = order_[head++];
+    const int next_hop = hops_[static_cast<size_t>(r)] + 1;
     // FIFO order: every road still queued is at least as deep as r.
     if (max_hops >= 0 && next_hop > max_hops) break;
     for (const Adjacency& adj : graph.Neighbors(r)) {
-      if (out.hops[static_cast<size_t>(adj.neighbor)] != -1) continue;
-      out.hops[static_cast<size_t>(adj.neighbor)] = next_hop;
+      const size_t v = static_cast<size_t>(adj.neighbor);
+      if (stamp_[v] == epoch_) continue;
+      stamp_[v] = epoch_;
+      hops_[v] = next_hop;
       if (next_hop > deepest) {
         deepest = next_hop;
-        out.level_offsets.push_back(out.level_offsets.back());
+        level_offsets_.push_back(level_offsets_.back());
       }
-      out.order.push_back(adj.neighbor);
-      out.level_offsets.back() = static_cast<int32_t>(out.order.size());
+      order_.push_back(adj.neighbor);
+      level_offsets_.back() = static_cast<int32_t>(order_.size());
     }
   }
 }
@@ -45,9 +55,9 @@ std::vector<RoadId> RoadsWithinHops(const Graph& graph,
                                     const std::vector<RoadId>& sources,
                                     int max_hops) {
   if (max_hops < 0) return {};
-  BfsLevels levels;
-  MultiSourceBfsInto(graph, sources, levels, max_hops);
-  return std::move(levels.order);
+  thread_local StampedBfs bfs;
+  bfs.Run(graph, sources, max_hops);
+  return bfs.order();
 }
 
 }  // namespace crowdrtse::graph

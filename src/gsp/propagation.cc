@@ -149,14 +149,19 @@ double SweepUnrolled(const SweepContext& c) {
   return local;
 }
 
-/// Per-thread arena for the per-query scratch: BFS levelling, the sampled
-/// mask, the relax order and the packed relax-order parameter copies.
-/// Reused across queries, so steady-state propagation allocates nothing but
-/// the result.
+/// Per-thread arena for the per-query scratch: the H-ball BFS, the speed
+/// field, the relax order's packed parameter copies. Nothing in it is
+/// filled per query at the graph's size: the BFS and the speed field are
+/// epoch-stamped (a road's entry is valid only while its stamp equals the
+/// current epoch, and every other road reads its periodic mean mu), so a
+/// propagation touches the sampled roads, the H-ball and the ball's
+/// neighbours only. Reused across queries, so steady-state propagation
+/// allocates nothing.
 struct Workspace {
-  graph::BfsLevels bfs;
-  std::vector<char> is_sampled;
-  std::vector<graph::RoadId> order;  // relax order, level-contiguous
+  graph::StampedBfs bfs;
+  std::vector<double> speeds;
+  std::vector<uint32_t> speed_stamp;
+  uint32_t speed_epoch = 0;
   // Packed relax-order copies of the slot parameters (see PackRows).
   std::vector<size_t> packed_offsets;
   std::vector<graph::RoadId> packed_ids;
@@ -165,6 +170,36 @@ struct Workspace {
   std::vector<double> packed_mu;
   std::vector<double> packed_base;
   std::vector<double> packed_den;
+
+  /// Starts a new speed field over a graph of `n` roads.
+  void BeginField(size_t n) {
+    if (speed_stamp.size() < n) {
+      speed_stamp.resize(n, 0);
+      speeds.resize(n, 0.0);
+    }
+    if (++speed_epoch == 0) {
+      std::fill(speed_stamp.begin(), speed_stamp.end(), 0u);
+      speed_epoch = 1;
+    }
+  }
+
+  bool Touched(graph::RoadId r) const {
+    return speed_stamp[static_cast<size_t>(r)] == speed_epoch;
+  }
+
+  /// Brings road r into the field at its periodic mean (no-op when it is
+  /// already there).
+  void Touch(const rtf::RtfModel& model, int slot, graph::RoadId r) {
+    if (Touched(r)) return;
+    speed_stamp[static_cast<size_t>(r)] = speed_epoch;
+    speeds[static_cast<size_t>(r)] = model.Mu(slot, r);
+  }
+
+  /// Road r's speed in the last propagation.
+  double SpeedOf(const rtf::RtfModel& model, int slot,
+                 graph::RoadId r) const {
+    return Touched(r) ? speeds[static_cast<size_t>(r)] : model.Mu(slot, r);
+  }
 };
 
 Workspace& ThreadWorkspace() {
@@ -182,14 +217,14 @@ void PackRows(const rtf::RtfModel::SlotSoa& soa, const graph::Graph& graph,
               Workspace& ws, SweepContext& c) {
   const std::span<const size_t> row_offsets = graph.RowOffsets();
   const std::span<const graph::RoadId> neighbor_ids = graph.NeighborIds();
-  const size_t m = ws.order.size();
+  const size_t m = c.order_size;
   ws.packed_offsets.resize(m + 1);
   ws.packed_mu.resize(m);
   ws.packed_base.resize(m);
   ws.packed_den.resize(m);
   size_t total = 0;
   for (size_t i = 0; i < m; ++i) {
-    const size_t r = static_cast<size_t>(ws.order[i]);
+    const size_t r = static_cast<size_t>(c.order[i]);
     total += row_offsets[r + 1] - row_offsets[r];
   }
   ws.packed_ids.resize(total);
@@ -197,7 +232,7 @@ void PackRows(const rtf::RtfModel::SlotSoa& soa, const graph::Graph& graph,
   ws.packed_m.resize(total);
   size_t cursor = 0;
   for (size_t i = 0; i < m; ++i) {
-    const size_t r = static_cast<size_t>(ws.order[i]);
+    const size_t r = static_cast<size_t>(c.order[i]);
     ws.packed_offsets[i] = cursor;
     ws.packed_mu[i] = soa.mu_inv_var[r];
     ws.packed_base[i] = soa.num_base[r];
@@ -253,7 +288,7 @@ double SpeedPropagator::UpdateValue(int slot, graph::RoadId road,
   return updated;
 }
 
-util::Result<GspResult> SpeedPropagator::Propagate(
+util::Result<SpeedPropagator::FieldStats> SpeedPropagator::SolveField(
     int slot, const std::vector<graph::RoadId>& sampled_roads,
     const std::vector<double>& sampled_speeds) const {
   if (slot < 0 || slot >= model_.num_slots()) {
@@ -278,53 +313,48 @@ util::Result<GspResult> SpeedPropagator::Propagate(
     return util::Status::InvalidArgument("hop_limit must be >= 0");
   }
 
-  GspResult result;
-  // Initialise: sampled roads take the probed data, everything else its
-  // periodic mean (paper "Initialization").
-  result.speeds.assign(static_cast<size_t>(n), 0.0);
-  for (graph::RoadId r = 0; r < n; ++r) {
-    result.speeds[static_cast<size_t>(r)] = model_.Mu(slot, r);
-  }
+  // Initialise: sampled roads take the probed data (a later duplicate
+  // wins), everything else its periodic mean (paper "Initialization") —
+  // implicitly, for every road the field never touches.
   Workspace& ws = ThreadWorkspace();
-  ws.is_sampled.assign(static_cast<size_t>(n), 0);
+  ws.BeginField(static_cast<size_t>(n));
   for (size_t i = 0; i < sampled_roads.size(); ++i) {
-    result.speeds[static_cast<size_t>(sampled_roads[i])] =
-        sampled_speeds[i];
-    ws.is_sampled[static_cast<size_t>(sampled_roads[i])] = 1;
+    ws.Touch(model_, slot, sampled_roads[i]);
+    ws.speeds[static_cast<size_t>(sampled_roads[i])] = sampled_speeds[i];
   }
 
   // Schedule: BFS hop levels from the sampled roads; level 0 (the samples
-  // themselves) stays fixed, deeper levels update in ascending hop order.
-  // A hop limit H stops the BFS at level H: nothing deeper is relaxed.
-  graph::MultiSourceBfsInto(
-      model_.graph(), sampled_roads, ws.bfs,
-      options_.hop_limit > 0 ? options_.hop_limit : -1);
-  result.hops = ws.bfs.hops;
-  ws.order.clear();
-  for (int l = 1; l < ws.bfs.num_levels(); ++l) {
-    const int32_t level_begin =
-        ws.bfs.level_offsets[static_cast<size_t>(l)];
-    const int32_t level_end =
-        ws.bfs.level_offsets[static_cast<size_t>(l) + 1];
-    for (int32_t k = level_begin; k < level_end; ++k) {
-      const graph::RoadId r = ws.bfs.order[static_cast<size_t>(k)];
-      if (!ws.is_sampled[static_cast<size_t>(r)]) ws.order.push_back(r);
+  // themselves, each exactly once) stays fixed, deeper levels update in
+  // ascending hop order — the tail of the BFS order from level 1 on, which
+  // holds no sampled road. A hop limit H stops the BFS at level H: nothing
+  // deeper is relaxed.
+  graph::StampedBfs& bfs = ws.bfs;
+  bfs.Run(model_.graph(), sampled_roads,
+          options_.hop_limit > 0 ? options_.hop_limit : -1);
+  SweepContext ctx;
+  if (bfs.num_levels() > 1) {
+    const size_t begin = static_cast<size_t>(bfs.level_offsets()[1]);
+    ctx.order = bfs.order().data() + begin;
+    ctx.order_size = bfs.order().size() - begin;
+  }
+  FieldStats stats;
+  if (ctx.order_size == 0) {
+    // Nothing to relax: either no samples (pure periodic estimate) or the
+    // samples cover everything.
+    stats.converged = true;
+    obs::RecordEvent(obs::EventKind::kGspSweep, slot, 0, 1);
+    return stats;
+  }
+  // Every speed a sweep reads: the relaxed roads and their neighbours.
+  for (size_t pos = 0; pos < ctx.order_size; ++pos) {
+    const graph::RoadId r = ctx.order[pos];
+    ws.Touch(model_, slot, r);
+    for (const graph::Adjacency& adj : model_.graph().Neighbors(r)) {
+      ws.Touch(model_, slot, adj.neighbor);
     }
   }
 
-  if (ws.order.empty()) {
-    // Nothing to relax: either no samples (pure periodic estimate) or the
-    // samples cover everything.
-    result.converged = true;
-    result.sweeps = 0;
-    obs::RecordEvent(obs::EventKind::kGspSweep, slot, 0, 1);
-    return result;
-  }
-
-  SweepContext ctx;
-  ctx.speeds = result.speeds.data();
-  ctx.order = ws.order.data();
-  ctx.order_size = ws.order.size();
+  ctx.speeds = ws.speeds.data();
   SweepFn fn = &SweepReference;
   if (options_.kernel == GspKernel::kReference) {
     ctx.model = &model_;
@@ -333,14 +363,60 @@ util::Result<GspResult> SpeedPropagator::Propagate(
     PackRows(model_.Soa(slot), model_.graph(), ws, ctx);
     fn = &SweepUnrolled;
   }
-  result.sweeps = RunSweeps(ctx, fn, options_.epsilon, options_.max_sweeps,
-                            result.converged);
+  stats.sweeps = RunSweeps(ctx, fn, options_.epsilon, options_.max_sweeps,
+                           stats.converged);
+  stats.relaxed = static_cast<int64_t>(ctx.order_size) * stats.sweeps;
   // ONE flight record per propagation (sweep count in the payload), never
   // per sweep: Propagate runs per query per shard while a sweep runs tens
   // of times inside it — per-iteration records would monopolize the ring.
-  obs::RecordEvent(obs::EventKind::kGspSweep, slot, result.sweeps,
-                   result.converged ? 1 : 0);
+  obs::RecordEvent(obs::EventKind::kGspSweep, slot, stats.sweeps,
+                   stats.converged ? 1 : 0);
+  return stats;
+}
+
+util::Result<GspResult> SpeedPropagator::Propagate(
+    int slot, const std::vector<graph::RoadId>& sampled_roads,
+    const std::vector<double>& sampled_speeds) const {
+  util::Result<FieldStats> stats =
+      SolveField(slot, sampled_roads, sampled_speeds);
+  if (!stats.ok()) return stats.status();
+  const Workspace& ws = ThreadWorkspace();
+  const int n = model_.num_roads();
+  GspResult result;
+  result.sweeps = stats->sweeps;
+  result.converged = stats->converged;
+  result.speeds.resize(static_cast<size_t>(n));
+  result.hops.resize(static_cast<size_t>(n));
+  for (graph::RoadId r = 0; r < n; ++r) {
+    result.speeds[static_cast<size_t>(r)] = ws.SpeedOf(model_, slot, r);
+    result.hops[static_cast<size_t>(r)] = ws.bfs.Hops(r);
+  }
   return result;
+}
+
+util::Result<GspReadout> SpeedPropagator::PropagateAt(
+    int slot, const std::vector<graph::RoadId>& sampled_roads,
+    const std::vector<double>& sampled_speeds,
+    const std::vector<graph::RoadId>& read_roads) const {
+  for (graph::RoadId r : read_roads) {
+    if (r < 0 || r >= model_.num_roads()) {
+      return util::Status::InvalidArgument("read road out of range: " +
+                                           std::to_string(r));
+    }
+  }
+  util::Result<FieldStats> stats =
+      SolveField(slot, sampled_roads, sampled_speeds);
+  if (!stats.ok()) return stats.status();
+  const Workspace& ws = ThreadWorkspace();
+  GspReadout out;
+  out.sweeps = stats->sweeps;
+  out.converged = stats->converged;
+  out.relaxed = stats->relaxed;
+  out.speeds.reserve(read_roads.size());
+  for (graph::RoadId r : read_roads) {
+    out.speeds.push_back(ws.SpeedOf(model_, slot, r));
+  }
+  return out;
 }
 
 }  // namespace crowdrtse::gsp

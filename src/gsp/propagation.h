@@ -1,6 +1,7 @@
 #ifndef CROWDRTSE_GSP_PROPAGATION_H_
 #define CROWDRTSE_GSP_PROPAGATION_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -55,6 +56,17 @@ struct GspResult {
   std::vector<int> hops;
 };
 
+/// Outcome of one propagation read at chosen roads
+/// (SpeedPropagator::PropagateAt).
+struct GspReadout {
+  /// Estimated speeds, aligned with the requested roads.
+  std::vector<double> speeds;
+  int sweeps = 0;
+  bool converged = false;
+  /// Road updates the sweeps performed: relax-order length x sweeps.
+  int64_t relaxed = 0;
+};
+
 /// Infers the realtime speed of every road from sparse probed speeds on top
 /// of a trained RTF, by iterating the closed-form conditional maximiser of
 /// paper Eq. (18) in BFS-hop order from the sampled roads.
@@ -70,9 +82,20 @@ class SpeedPropagator {
 
   /// Runs GSP for `slot`. `sampled_roads[i]` is fixed to
   /// `sampled_speeds[i]`; everything else starts at mu and relaxes.
+  /// Returns every road's speed and hop count: O(n) output around a
+  /// propagation that itself touches only the sampled roads' H-ball.
   util::Result<GspResult> Propagate(
       int slot, const std::vector<graph::RoadId>& sampled_roads,
       const std::vector<double>& sampled_speeds) const;
+
+  /// The same propagation, read only at `read_roads` (the serve path reads
+  /// the queried roads): speeds bit-identical to Propagate's at those
+  /// roads, at a cost that follows the H-ball, not the graph. Every read
+  /// road must be in range.
+  util::Result<GspReadout> PropagateAt(
+      int slot, const std::vector<graph::RoadId>& sampled_roads,
+      const std::vector<double>& sampled_speeds,
+      const std::vector<graph::RoadId>& read_roads) const;
 
   /// The Eq. (18) kernel: the likelihood-maximising value of v_i given the
   /// current speeds of its neighbours. Exposed for fixed-point tests.
@@ -82,6 +105,17 @@ class SpeedPropagator {
                      const std::vector<double>& speeds) const;
 
  private:
+  struct FieldStats {
+    int sweeps = 0;
+    bool converged = false;
+    int64_t relaxed = 0;
+  };
+  /// Validates the inputs and runs the propagation into this thread's
+  /// epoch-stamped workspace, where Propagate and PropagateAt read it.
+  util::Result<FieldStats> SolveField(
+      int slot, const std::vector<graph::RoadId>& sampled_roads,
+      const std::vector<double>& sampled_speeds) const;
+
   const rtf::RtfModel& model_;
   GspOptions options_;
 };

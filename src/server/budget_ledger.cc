@@ -49,9 +49,14 @@ int64_t BudgetLedger::reserved_outstanding() const {
   return reserved_outstanding_;
 }
 
-std::vector<LedgerEntry> BudgetLedger::entries() const {
+int64_t BudgetLedger::settled_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return entries_;
+  return settled_count_;
+}
+
+int64_t BudgetLedger::released_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return released_count_;
 }
 
 void BudgetLedger::CloseReservationLocked(int64_t query_id) {
@@ -74,7 +79,7 @@ util::Status BudgetLedger::Settle(int64_t query_id, int reserved,
   std::lock_guard<std::mutex> lock(mutex_);
   CloseReservationLocked(query_id);
   total_spent_ += spent;
-  entries_.push_back({query_id, reserved, spent});
+  ++settled_count_;
   obs::RecordEvent(obs::EventKind::kBudgetSettle, query_id, reserved, spent);
   return util::Status::Ok();
 }
@@ -85,12 +90,13 @@ util::Status BudgetLedger::Release(int64_t query_id, int reserved) {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   CloseReservationLocked(query_id);
+  ++released_count_;
   return util::Status::Ok();
 }
 
 std::string BudgetLedger::Report() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "BudgetLedger: " + std::to_string(entries_.size()) +
+  std::string out = "BudgetLedger: " + std::to_string(settled_count_) +
                     " queries, spent " + std::to_string(total_spent_);
   if (campaign_budget_ >= 0) {
     out += " of " + std::to_string(campaign_budget_) + " (remaining " +

@@ -5,18 +5,10 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "util/status.h"
 
 namespace crowdrtse::server {
-
-/// One accounting entry: what a served query spent.
-struct LedgerEntry {
-  int64_t query_id = 0;
-  int reserved = 0;
-  int spent = 0;
-};
 
 /// Campaign-level payment accounting. The paper budgets each query with K
 /// answer-units; a deployment also has to bound the total spend across
@@ -30,6 +22,12 @@ struct LedgerEntry {
 /// Each reservation must be closed exactly once, via Settle() (actual
 /// spend, possibly zero) or Release() (nothing was paid). All methods are
 /// thread-safe.
+///
+/// The ledger keeps counters only — spent, settled, released, outstanding —
+/// so its memory stays flat however many queries a long run serves (the
+/// only per-query state is an in-flight reservation, erased at close).
+/// Conservation is checkable from them: total_spent() equals the sum of
+/// every settled payment.
 class BudgetLedger {
  public:
   /// `campaign_budget` < 0 means unlimited.
@@ -49,8 +47,8 @@ class BudgetLedger {
   util::Status Settle(int64_t query_id, int reserved, int spent);
 
   /// Closes the reservation of a query that paid nothing (e.g. rejected
-  /// before its crowdsourcing round). Equivalent to settling zero spend,
-  /// without appending a ledger entry.
+  /// before its crowdsourcing round). Like settling zero spend, but counted
+  /// as released, not settled.
   util::Status Release(int64_t query_id, int reserved);
 
   /// The configured per-query grant ceiling (e.g. so a sharded engine can
@@ -62,9 +60,11 @@ class BudgetLedger {
   /// Units currently earmarked by in-flight reservations.
   int64_t reserved_outstanding() const;
   bool exhausted() const { return NextQueryBudget() <= 0; }
-  /// Snapshot of all settled entries (copied: the ledger may be written
-  /// concurrently).
-  std::vector<LedgerEntry> entries() const;
+  /// Successful Settle() calls so far (one per query whose books closed
+  /// with a payment, possibly zero).
+  int64_t settled_count() const;
+  /// Successful Release() calls so far.
+  int64_t released_count() const;
 
   /// Human-readable account summary.
   std::string Report() const;
@@ -79,8 +79,9 @@ class BudgetLedger {
   int per_query_cap_;
   int64_t total_spent_ = 0;
   int64_t reserved_outstanding_ = 0;
+  int64_t settled_count_ = 0;
+  int64_t released_count_ = 0;
   std::unordered_map<int64_t, int> active_reservations_;
-  std::vector<LedgerEntry> entries_;
 };
 
 }  // namespace crowdrtse::server

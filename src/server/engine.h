@@ -27,6 +27,36 @@ struct QueryRequest {
   int budget_cap = 0;
 };
 
+/// Deterministic work counts of one served query, one per serve step.
+/// They depend only on the world, the worker population and the request —
+/// never on timing, load or cache state — so a gate on them cannot trip on
+/// host noise. They count these steps only: work a step does outside them
+/// is not seen. On a sharded engine they sum over the query's shard groups.
+struct ServeWork {
+  /// Roads the candidate listing visited: the query's C-hop ball on the
+  /// ball-scoped path, every road of the (shard's) map otherwise.
+  int64_t ball_roads = 0;
+  /// Worker-index entries on the selected roads' buckets: the most a crowd
+  /// round reads (assignment hires from their fronts, dispatch pools the
+  /// rest as replacements).
+  int64_t workers_read = 0;
+  /// Worker-covered roads handed to OCS to score.
+  int64_t candidates_scored = 0;
+  /// GSP road updates: relax-order length x sweeps.
+  int64_t gsp_roads_relaxed = 0;
+
+  int64_t Total() const {
+    return ball_roads + workers_read + candidates_scored + gsp_roads_relaxed;
+  }
+  ServeWork& operator+=(const ServeWork& other) {
+    ball_roads += other.ball_roads;
+    workers_read += other.workers_read;
+    candidates_scored += other.candidates_scored;
+    gsp_roads_relaxed += other.gsp_roads_relaxed;
+    return *this;
+  }
+};
+
 /// What the engine returns: the estimate for every queried road plus full
 /// provenance (which roads were probed, what was paid, phase latencies).
 struct QueryResponse {
@@ -60,6 +90,8 @@ struct QueryResponse {
   /// DispatchOptions::MaxRoundSpanMs() whatever the fault plan injects.
   double dispatch_span_ms = 0.0;
   int gsp_sweeps = 0;
+  /// Work counts of this query (zero for a periodic-fallback answer).
+  ServeWork work;
   /// Compact span summary of this query's trace; empty when the query was
   /// not sampled (Options::trace_sample_rate).
   util::trace::TraceSummary trace_summary;

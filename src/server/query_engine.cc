@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "crowd/task_assignment.h"
+#include "graph/bfs.h"
 #include "gsp/uncertainty.h"
 #include "traffic/time_slots.h"
 #include "util/string_util.h"
@@ -266,9 +267,22 @@ util::Result<QueryResponse> QueryEngine::Serve(
   response.granted_budget = budget;
 
   // Step 1 — OCS over the roads workers currently cover; a road with fewer
-  // workers than its answer quota aggregates fewer answers.
+  // workers than its answer quota aggregates fewer answers. When OCS can
+  // only gain within C hops of the query, the candidates are the covered
+  // roads of the query's C-hop ball — one BFS of the ball, no pass over the
+  // map; otherwise (the dense paper world) every covered road.
   util::Timer timer;
-  const std::vector<graph::RoadId> worker_roads = registry_.CoveredRoads();
+  std::vector<graph::RoadId> worker_roads;
+  if (system_.BallScopedSelection()) {
+    const std::vector<graph::RoadId> ball = graph::RoadsWithinHops(
+        system_.graph(), queried, system_.config().correlation_hop_radius);
+    response.work.ball_roads = static_cast<int64_t>(ball.size());
+    worker_roads = registry_.CoveredAmong(ball);
+  } else {
+    response.work.ball_roads = system_.graph().num_roads();
+    worker_roads = registry_.CoveredRoads();
+  }
+  response.work.candidates_scored = static_cast<int64_t>(worker_roads.size());
   util::Result<ocs::OcsSolution> selection = [&] {
     util::trace::Span ocs_span("ocs");
     ocs_span.Annotate("worker_roads",
@@ -293,13 +307,18 @@ util::Result<QueryResponse> QueryEngine::Serve(
   ocs_latency_->Record(response.ocs_millis);
 
   // Step 2 — crowdsourcing round: assign concrete workers to the selected
-  // roads, then collect. Legacy path: every assigned worker reports once,
-  // synchronously. Fault-tolerant path: the dispatch controller drives the
-  // round under deadlines, retry/backoff, straggler reassignment and
-  // report rejection; roads whose probes all fail come back degraded, not
-  // as errors. The simulator's RNG is stateful, so either way this phase
-  // runs one query at a time.
+  // roads, then collect; both read the registry's index (the selected
+  // roads' buckets and the hired ids), never the whole population. Legacy
+  // path: every assigned worker reports once, synchronously. Fault-tolerant
+  // path: the dispatch controller drives the round under deadlines,
+  // retry/backoff, straggler reassignment and report rejection; roads whose
+  // probes all fail come back degraded, not as errors. The simulator's RNG
+  // is stateful, so either way this phase runs one query at a time.
   timer.Reset();
+  for (graph::RoadId road : selection->roads) {
+    response.work.workers_read += registry_.CountOn(road);
+  }
+  const crowd::WorkerIndex& workers = registry_.index();
   crowd::DispatchStats dispatch_stats;
   util::Result<crowd::CrowdRound> round = [&] {
     std::lock_guard<std::mutex> lock(crowd_mutex_);
@@ -307,8 +326,8 @@ util::Result<QueryResponse> QueryEngine::Serve(
     obs::StageTimer stage(obs::Stage::kCrowdDispatch);
     util::Result<crowd::AssignmentPlan> plan = [&] {
       util::trace::Span assign_span("crowd.assign");
-      util::Result<crowd::AssignmentPlan> assigned = crowd::AssignTasks(
-          selection->roads, costs_, registry_.workers());
+      util::Result<crowd::AssignmentPlan> assigned =
+          crowd::AssignTasks(selection->roads, costs_, workers);
       if (assigned.ok()) {
         assign_span.Annotate(
             "assignments",
@@ -319,13 +338,13 @@ util::Result<QueryResponse> QueryEngine::Serve(
     if (!plan.ok()) return util::Result<crowd::CrowdRound>(plan.status());
     if (!options_.fault_tolerant_dispatch) {
       response.underfilled_roads = plan->underfilled_roads;
-      return crowd_sim_.ProbeWithAssignments(*plan, registry_.workers(),
-                                             world, request.slot);
+      return crowd_sim_.ProbeWithAssignments(*plan, workers, world,
+                                             request.slot);
     }
     crowd::DispatchController controller(options_.dispatch,
                                          options_.clock);
     util::Result<crowd::DispatchRound> dispatched = controller.Run(
-        *plan, registry_.workers(), costs_, options_.fault_plan,
+        *plan, workers, costs_, options_.fault_plan,
         [&](const crowd::Worker& worker, graph::RoadId road) {
           return crowd_sim_.GenerateAnswer(worker, road, world,
                                            request.slot);
@@ -350,8 +369,9 @@ util::Result<QueryResponse> QueryEngine::Serve(
   crowd_latency_->Record(response.crowd_millis);
   response.paid = round->total_paid;
 
-  // Step 3 — GSP over the roads that actually produced answers. Leasing a
-  // propagator bounds how many GSP phases run at once.
+  // Step 3 — GSP over the roads that actually produced answers, read at
+  // the queried roads only: the propagation touches the probes' H-ball.
+  // Leasing a propagator bounds how many GSP phases run at once.
   timer.Reset();
   std::vector<double> probed;
   probed.reserve(round->probes.size());
@@ -359,7 +379,7 @@ util::Result<QueryResponse> QueryEngine::Serve(
     response.probed_roads.push_back(p.road);
     probed.push_back(p.probed_kmh);
   }
-  util::Result<gsp::GspResult> estimate = [&] {
+  util::Result<gsp::GspReadout> estimate = [&] {
     util::trace::Span gsp_span("gsp");
     gsp_span.Annotate("probed",
                       static_cast<int64_t>(response.probed_roads.size()));
@@ -371,8 +391,8 @@ util::Result<QueryResponse> QueryEngine::Serve(
     }();
     util::trace::Span propagate_span("gsp.propagate");
     obs::StageTimer stage(obs::Stage::kGspSweep);
-    util::Result<gsp::GspResult> propagated = propagator->Propagate(
-        request.slot, response.probed_roads, probed);
+    util::Result<gsp::GspReadout> propagated = propagator->PropagateAt(
+        request.slot, response.probed_roads, probed, request.queried);
     if (propagated.ok()) {
       propagate_span.Annotate("sweeps",
                               static_cast<int64_t>(propagated->sweeps));
@@ -386,12 +406,8 @@ util::Result<QueryResponse> QueryEngine::Serve(
   response.gsp_millis = timer.ElapsedMillis();
   gsp_latency_->Record(response.gsp_millis);
   response.gsp_sweeps = estimate->sweeps;
-
-  response.queried_speeds.reserve(request.queried.size());
-  for (graph::RoadId r : request.queried) {
-    response.queried_speeds.push_back(
-        estimate->speeds[static_cast<size_t>(r)]);
-  }
+  response.work.gsp_roads_relaxed = estimate->relaxed;
+  response.queried_speeds = std::move(estimate->speeds);
 
   // Degradation ladder (fault-tolerant path): a queried road whose probes
   // all failed answers with its RTF periodic mean mu_i^t instead of a

@@ -694,6 +694,7 @@ util::Result<QueryResponse> ShardedEngine::Serve(
         std::max(response.dispatch_span_ms, run.response.dispatch_span_ms);
     response.gsp_sweeps =
         std::max(response.gsp_sweeps, run.response.gsp_sweeps);
+    response.work += run.response.work;
   }
   // Halo roads near a cut can be probed by two shards; the merged
   // provenance reports each road once.

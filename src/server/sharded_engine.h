@@ -65,7 +65,7 @@ struct ShardedEngineOptions {
 /// A query spanning owners splits per owner, fans out on the pool, and
 /// the partial responses merge: speeds map back to the original request
 /// order, probed/underfilled/degraded sets union (sorted, deduplicated),
-/// latencies sum, gsp_sweeps takes the max.
+/// latencies and work counts sum, gsp_sweeps takes the max.
 ///
 /// Budget settle-up: the router reserves ONCE from the global ledger
 /// (grant B) per query. Sub-engines run against private unlimited-campaign
@@ -225,7 +225,8 @@ class ShardedEngine : public Engine {
                                  const ShardedEngineOptions& options);
 
   /// Projects the global worker snapshot into `layout`-local ids,
-  /// preserving the global order (task assignment scans in vector order).
+  /// preserving the global order (population order breaks ties in the
+  /// worker index, so a shard hires as the unsharded engine would).
   static std::vector<crowd::Worker> ProjectWorkers(
       const partition::ShardLayout& layout,
       const std::vector<crowd::Worker>& workers);

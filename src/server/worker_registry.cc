@@ -10,7 +10,7 @@ namespace crowdrtse::server {
 WorkerRegistry::WorkerRegistry(const graph::Graph& graph,
                                const WorkerRegistryOptions& options,
                                uint64_t seed)
-    : graph_(graph), options_(options), rng_(seed) {
+    : graph_(graph), options_(options), rng_(seed), index_(workers_, 0) {
   if (graph_.num_roads() > 0) {
     workers_.reserve(static_cast<size_t>(options.num_workers));
     for (int i = 0; i < options.num_workers; ++i) {
@@ -25,7 +25,7 @@ WorkerRegistry::WorkerRegistry(const graph::Graph& graph,
                                const WorkerRegistryOptions& options,
                                uint64_t seed)
     : graph_(graph), options_(options), rng_(seed),
-      workers_(std::move(workers)) {
+      workers_(std::move(workers)), index_(workers_, 0) {
   IndexWorkers();
 }
 
@@ -35,12 +35,11 @@ void WorkerRegistry::ReplaceWorkers(std::vector<crowd::Worker> workers) {
 }
 
 void WorkerRegistry::IndexWorkers() {
-  workers_on_road_.assign(static_cast<size_t>(graph_.num_roads()), 0);
   for (const crowd::Worker& w : workers_) {
     CROWDRTSE_CHECK(graph_.IsValidRoad(w.road));
-    ++workers_on_road_[static_cast<size_t>(w.road)];
     next_id_ = std::max(next_id_, w.id + 1);
   }
+  index_.Rebuild(workers_, graph_.num_roads());
 }
 
 crowd::Worker WorkerRegistry::SpawnWorker(crowd::WorkerId id) {
@@ -57,7 +56,6 @@ crowd::Worker WorkerRegistry::SpawnWorker(crowd::WorkerId id) {
 void WorkerRegistry::AdvanceSlot() {
   ++slot_offset_;
   for (crowd::Worker& w : workers_) {
-    const graph::RoadId from = w.road;
     if (rng_.Bernoulli(options_.churn_probability)) {
       // Worker logs off; a fresh one logs on somewhere else.
       w = SpawnWorker(next_id_++);
@@ -69,32 +67,34 @@ void WorkerRegistry::AdvanceSlot() {
                      .neighbor;
       }
     }
-    if (w.road != from) {
-      --workers_on_road_[static_cast<size_t>(from)];
-      ++workers_on_road_[static_cast<size_t>(w.road)];
-    }
   }
+  index_.Rebuild(workers_, graph_.num_roads());
 }
 
 std::vector<graph::RoadId> WorkerRegistry::CoveredRoads() const {
   std::vector<graph::RoadId> covered;
   for (graph::RoadId r = 0; r < graph_.num_roads(); ++r) {
-    if (workers_on_road_[static_cast<size_t>(r)] > 0) covered.push_back(r);
+    if (index_.CountOn(r) > 0) covered.push_back(r);
   }
   return covered;
 }
 
-int WorkerRegistry::CountOn(graph::RoadId road) const {
-  return graph_.IsValidRoad(road)
-             ? workers_on_road_[static_cast<size_t>(road)]
-             : 0;
+std::vector<graph::RoadId> WorkerRegistry::CoveredAmong(
+    std::span<const graph::RoadId> roads) const {
+  std::vector<graph::RoadId> covered;
+  for (graph::RoadId r : roads) {
+    if (index_.CountOn(r) > 0) covered.push_back(r);
+  }
+  std::sort(covered.begin(), covered.end());
+  covered.erase(std::unique(covered.begin(), covered.end()), covered.end());
+  return covered;
 }
 
 std::vector<const crowd::Worker*> WorkerRegistry::WorkersOn(
     graph::RoadId road) const {
   std::vector<const crowd::Worker*> on_road;
-  for (const crowd::Worker& w : workers_) {
-    if (w.road == road) on_road.push_back(&w);
+  for (int32_t slot : index_.SlotsOn(road)) {
+    on_road.push_back(&workers_[static_cast<size_t>(slot)]);
   }
   return on_road;
 }

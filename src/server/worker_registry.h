@@ -1,9 +1,11 @@
 #ifndef CROWDRTSE_SERVER_WORKER_REGISTRY_H_
 #define CROWDRTSE_SERVER_WORKER_REGISTRY_H_
 
+#include <span>
 #include <vector>
 
 #include "crowd/worker.h"
+#include "crowd/worker_index.h"
 #include "graph/graph.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -33,12 +35,16 @@ struct WorkerRegistryOptions {
 /// source of that R^w, and it changes from slot to slot as workers travel
 /// (the reason fixed-observation-site regression baselines break down).
 ///
-/// Alongside the worker vector the registry keeps one count of workers per
-/// road of the graph. The constructors and ReplaceWorkers rebuild it;
-/// AdvanceSlot moves it by +-1 in the same loop that moves or churns each
-/// worker. CoveredRoads and CountOn read those counts, so they never walk
-/// the worker population. Every worker's road must lie in
+/// Alongside the worker vector the registry keeps a crowd::WorkerIndex:
+/// CSR road buckets of worker positions sorted by (noise_kmh, id), plus an
+/// id table. The constructors, ReplaceWorkers and AdvanceSlot rebuild it
+/// (each is O(population) already); every read — CountOn, WorkersOn,
+/// CoveredAmong, and the serve path's assignment, probe and dispatch —
+/// goes through it, so a query reads the buckets of its own roads and
+/// never walks the population. Every worker's road must lie in
 /// [0, graph.num_roads()); the constructors and ReplaceWorkers check it.
+///
+/// Not copyable: the index points into the registry's own worker vector.
 class WorkerRegistry {
  public:
   /// Spawns the initial population uniformly over the network's roads (no
@@ -49,13 +55,15 @@ class WorkerRegistry {
 
   /// Wraps an explicit worker snapshot — e.g. a shard-local projection of
   /// a global registry with road ids remapped to the shard's subgraph.
-  /// The snapshot's order is preserved (task assignment scans workers in
-  /// vector order, so a projection that keeps the global order reproduces
-  /// the global assignment on the shard). AdvanceSlot works as usual over
-  /// `graph`.
+  /// The snapshot's order is preserved (it breaks ties between otherwise
+  /// equal workers, and duplicate ids resolve to the last one). AdvanceSlot
+  /// works as usual over `graph`.
   WorkerRegistry(const graph::Graph& graph,
                  std::vector<crowd::Worker> workers,
                  const WorkerRegistryOptions& options, uint64_t seed);
+
+  WorkerRegistry(const WorkerRegistry&) = delete;
+  WorkerRegistry& operator=(const WorkerRegistry&) = delete;
 
   /// Replaces the whole population (e.g. re-projection after the global
   /// registry advanced a slot). Must not race with in-flight queries.
@@ -68,16 +76,27 @@ class WorkerRegistry {
   int num_workers() const { return static_cast<int>(workers_.size()); }
   const std::vector<crowd::Worker>& workers() const { return workers_; }
 
+  /// The road-bucketed index over workers() (valid until the next
+  /// AdvanceSlot or ReplaceWorkers).
+  const crowd::WorkerIndex& index() const { return index_; }
+
   /// Distinct roads currently hosting at least one worker, ascending — the
-  /// candidate set R^w for OCS.
+  /// candidate set R^w for OCS over the whole map (one pass over the
+  /// index's road offsets).
   std::vector<graph::RoadId> CoveredRoads() const;
 
-  /// Number of workers currently on `road` (0 for an id off the graph).
-  int CountOn(graph::RoadId road) const;
+  /// The roads of `roads` currently hosting at least one worker, ascending
+  /// and distinct; ids off the graph are dropped. O(|roads| log |roads|) —
+  /// the serve path's R^w restricted to the query's C-hop ball.
+  std::vector<graph::RoadId> CoveredAmong(
+      std::span<const graph::RoadId> roads) const;
 
-  /// The workers currently on `road` (e.g. to scope a per-worker
-  /// crowd::FaultPlan to one road's population). Pointers are valid until
-  /// the next AdvanceSlot.
+  /// Number of workers currently on `road` (0 for an id off the graph).
+  int CountOn(graph::RoadId road) const { return index_.CountOn(road); }
+
+  /// The workers currently on `road`, cleanest first (e.g. to scope a
+  /// per-worker crowd::FaultPlan to one road's population). Pointers are
+  /// valid until the next AdvanceSlot.
   std::vector<const crowd::Worker*> WorkersOn(graph::RoadId road) const;
 
   /// Total slots advanced since construction.
@@ -85,16 +104,15 @@ class WorkerRegistry {
 
  private:
   crowd::Worker SpawnWorker(crowd::WorkerId id);
-  /// Checks every worker's road, recounts workers per road and moves
-  /// next_id_ past every id in the population.
+  /// Checks every worker's road, rebuilds the index and moves next_id_
+  /// past every id in the population.
   void IndexWorkers();
 
   const graph::Graph& graph_;
   WorkerRegistryOptions options_;
   util::Rng rng_;
   std::vector<crowd::Worker> workers_;
-  /// workers_on_road_[r] = number of workers whose road is r.
-  std::vector<int> workers_on_road_;
+  crowd::WorkerIndex index_;
   crowd::WorkerId next_id_ = 0;
   int slot_offset_ = 0;
 };

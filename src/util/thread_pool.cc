@@ -16,10 +16,12 @@ std::pair<size_t, size_t> Chunk(size_t total, int parts, int index) {
   return {begin, begin + size};
 }
 
-// Spin iterations before a worker parks on the condition variable. GSP
-// dispatches thousands of small jobs per propagation; during a burst the
-// workers stay hot and dispatch costs ~a hundred nanoseconds, while an
-// idle pool still ends up parked instead of burning a core.
+// Spin iterations before a worker parks on the condition variable. The
+// pool's users (the Gamma_R build and incremental refresh, the CCD trainer
+// and the theta tuner) each make a run of ParallelFor calls back to back;
+// spinning keeps the workers hot between the calls of one run, while an
+// idle pool still ends up parked instead of burning a core. GSP does not
+// use the pool: a propagation runs on the serving thread.
 constexpr int kSpinLimit = 1 << 14;
 
 }  // namespace

@@ -50,13 +50,18 @@ TEST(BudgetLedgerTest, RejectsOverspend) {
   EXPECT_EQ(ledger.total_spent(), 0);
 }
 
-TEST(BudgetLedgerTest, EntriesRecorded) {
+TEST(BudgetLedgerTest, SettleIsCounted) {
   BudgetLedger ledger(100, 50);
+  EXPECT_EQ(ledger.Reserve(7), 50);
   ASSERT_TRUE(ledger.Settle(7, 50, 33).ok());
-  ASSERT_EQ(ledger.entries().size(), 1u);
-  EXPECT_EQ(ledger.entries()[0].query_id, 7);
-  EXPECT_EQ(ledger.entries()[0].reserved, 50);
-  EXPECT_EQ(ledger.entries()[0].spent, 33);
+  EXPECT_EQ(ledger.settled_count(), 1);
+  EXPECT_EQ(ledger.released_count(), 0);
+  EXPECT_EQ(ledger.total_spent(), 33);
+  EXPECT_EQ(ledger.reserved_outstanding(), 0);
+  // A rejected settle moves no counter.
+  EXPECT_FALSE(ledger.Settle(8, 10, 11).ok());
+  EXPECT_EQ(ledger.settled_count(), 1);
+  EXPECT_EQ(ledger.total_spent(), 33);
 }
 
 TEST(BudgetLedgerTest, ReportMentionsTotals) {
@@ -82,7 +87,7 @@ TEST(BudgetLedgerTest, ReservationsEarmarkHeadroom) {
   EXPECT_EQ(ledger.NextQueryBudget(), 50);  // 100 - 10 spent - 40 reserved
 }
 
-TEST(BudgetLedgerTest, ReleaseReturnsReservationWithoutAnEntry) {
+TEST(BudgetLedgerTest, ReleaseReturnsReservationWithoutASettle) {
   BudgetLedger ledger(100, 60);
   const int granted = ledger.Reserve(7);
   EXPECT_EQ(granted, 60);
@@ -90,7 +95,8 @@ TEST(BudgetLedgerTest, ReleaseReturnsReservationWithoutAnEntry) {
   EXPECT_EQ(ledger.reserved_outstanding(), 0);
   EXPECT_EQ(ledger.NextQueryBudget(), 60);
   EXPECT_EQ(ledger.total_spent(), 0);
-  EXPECT_TRUE(ledger.entries().empty());
+  EXPECT_EQ(ledger.settled_count(), 0);
+  EXPECT_EQ(ledger.released_count(), 1);
 }
 
 TEST(BudgetLedgerTest, UnlimitedCampaignReservesFreely) {
@@ -118,6 +124,8 @@ TEST(BudgetLedgerTest, ConcurrentReserveSettleNeverOverspends) {
   constexpr int kThreads = 8;
   std::atomic<int64_t> next_id{1};
   std::atomic<int64_t> granted_total{0};
+  std::atomic<int64_t> paid_total{0};
+  std::atomic<int64_t> settles{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
@@ -127,18 +135,19 @@ TEST(BudgetLedgerTest, ConcurrentReserveSettleNeverOverspends) {
         if (granted == 0) continue;
         granted_total.fetch_add(granted);
         // Spend most of the grant, like a real crowd round would.
-        const int spent = granted - (i % 3);
-        ASSERT_TRUE(ledger.Settle(id, granted, std::max(0, spent)).ok());
+        const int spent = std::max(0, granted - (i % 3));
+        ASSERT_TRUE(ledger.Settle(id, granted, spent).ok());
+        paid_total.fetch_add(spent);
+        settles.fetch_add(1);
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_LE(ledger.total_spent(), kCampaign);
   EXPECT_EQ(ledger.reserved_outstanding(), 0);
-  // Sum of settled spends matches the running total.
-  int64_t from_entries = 0;
-  for (const LedgerEntry& e : ledger.entries()) from_entries += e.spent;
-  EXPECT_EQ(from_entries, ledger.total_spent());
+  // Conservation: the spend equals the sum of settled payments.
+  EXPECT_EQ(ledger.total_spent(), paid_total.load());
+  EXPECT_EQ(ledger.settled_count(), settles.load());
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ TEST_F(ConcurrentEngineTest, SharedLedgerNeverOverspendsCampaign) {
   EXPECT_GT(stats.queries_served, 0);
   EXPECT_GT(stats.queries_rejected, 0);  // the campaign did dry up
   // Every granted query settled exactly once.
-  EXPECT_EQ(static_cast<int64_t>(ledger.entries().size()),
+  EXPECT_EQ(ledger.settled_count(),
             stats.queries_served + stats.queries_failed);
   EXPECT_EQ(stats.total_paid, ledger.total_spent());
   EXPECT_EQ(paid_observed.load(), stats.total_paid);

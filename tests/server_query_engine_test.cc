@@ -158,8 +158,7 @@ TEST_F(QueryEngineTest, FailedQueryStillSettlesItsCrowdSpend) {
   // The crowd round paid real units and they are all on the books.
   EXPECT_GT(ledger.total_spent(), 0);
   EXPECT_EQ(engine.stats().total_paid, ledger.total_spent());
-  ASSERT_EQ(ledger.entries().size(), 1u);
-  EXPECT_EQ(ledger.entries()[0].spent, ledger.total_spent());
+  EXPECT_EQ(ledger.settled_count(), 1);
   EXPECT_EQ(ledger.reserved_outstanding(), 0);
 }
 
@@ -174,10 +173,10 @@ TEST_F(QueryEngineTest, RejectsOutOfRangeSlot) {
     EXPECT_EQ(response.status().code(), util::StatusCode::kInvalidArgument);
   }
   EXPECT_EQ(engine.stats().queries_rejected, 3);
-  // Rejected before any grant: no spend, no reservation, no entries.
+  // Rejected before any grant: no spend, no reservation, no settle.
   EXPECT_EQ(ledger.total_spent(), 0);
   EXPECT_EQ(ledger.reserved_outstanding(), 0);
-  EXPECT_TRUE(ledger.entries().empty());
+  EXPECT_EQ(ledger.settled_count(), 0);
 }
 
 // Regression (budget leak, validation order): a bad road id used to be
@@ -192,7 +191,7 @@ TEST_F(QueryEngineTest, RejectsBadRoadBeforePayingWorkers) {
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_EQ(ledger.total_spent(), 0);
-  EXPECT_TRUE(ledger.entries().empty());
+  EXPECT_EQ(ledger.settled_count(), 0);
   EXPECT_EQ(engine.stats().queries_rejected, 1);
   EXPECT_EQ(engine.stats().queries_failed, 0);
 }
@@ -713,7 +712,7 @@ TEST_F(QueryEngineTest, PeriodicFallbackServesMeansWithoutSpending) {
   EXPECT_EQ(response->granted_budget, 0);
   EXPECT_EQ(response->paid, 0);
   EXPECT_EQ(ledger.total_spent(), 0);
-  EXPECT_TRUE(ledger.entries().empty());
+  EXPECT_EQ(ledger.settled_count(), 0);
 
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries_served, 1);

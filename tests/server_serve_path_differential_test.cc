@@ -2,15 +2,19 @@
 // scan the whole worker population, candidate set or graph per query is run
 // against a copy of its former full-scan implementation (the oracles below)
 // on random metro worlds, and the outputs must be equal — bit for bit where
-// doubles are involved.
+// doubles are involved. The serve path's own forms — the registry's worker
+// index, ball-scoped OCS and the epoch-stamped GSP workspace — are checked
+// against the same oracles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,10 +24,14 @@
 #include "crowd/crowd_simulator.h"
 #include "crowd/task_assignment.h"
 #include "crowd/worker.h"
+#include "crowd/worker_index.h"
+#include "graph/bfs.h"
 #include "graph/generators.h"
+#include "gsp/propagation.h"
 #include "ocs/greedy_selectors.h"
 #include "ocs/ocs_problem.h"
 #include "rtf/correlation_table.h"
+#include "rtf/rtf_model.h"
 #include "server/worker_registry.h"
 #include "traffic/history_store.h"
 #include "util/rng.h"
@@ -136,6 +144,92 @@ util::Result<crowd::CrowdRound> OracleProbeWithAssignments(
   return round;
 }
 
+/// The former one-pass GatherWorkers over the whole population. Ties in
+/// (noise_kmh, id) keep population order (std::stable_sort), the order the
+/// index documents; the former std::sort left such ties unspecified.
+crowd::RoundWorkers OracleGatherWorkers(
+    const std::vector<crowd::WorkerId>& ids,
+    const std::vector<graph::RoadId>& roads,
+    const std::vector<crowd::Worker>& workers) {
+  crowd::RoundWorkers out;
+  out.by_id.assign(ids.size(), nullptr);
+  out.on_road.resize(roads.size());
+  for (const crowd::Worker& w : workers) {
+    bool listed = false;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] == w.id) {
+        out.by_id[i] = &w;
+        listed = true;
+      }
+    }
+    if (listed) continue;
+    for (size_t j = 0; j < roads.size(); ++j) {
+      if (roads[j] == w.road) out.on_road[j].push_back(&w);
+    }
+  }
+  for (std::vector<const crowd::Worker*>& bucket : out.on_road) {
+    std::stable_sort(bucket.begin(), bucket.end(),
+                     [](const crowd::Worker* a, const crowd::Worker* b) {
+                       return a->noise_kmh != b->noise_kmh
+                                  ? a->noise_kmh < b->noise_kmh
+                                  : a->id < b->id;
+                     });
+  }
+  return out;
+}
+
+/// The former dense GSP with the reference kernel: an n-sized speed field
+/// initialised to mu, a dense BFS, and Eq. (18) updates through
+/// SpeedPropagator::UpdateValue — the reference kernel's arithmetic.
+std::vector<double> OracleDensePropagate(
+    const rtf::RtfModel& model, const gsp::SpeedPropagator& propagator,
+    int slot, const std::vector<graph::RoadId>& sampled,
+    const std::vector<double>& values) {
+  const int n = model.num_roads();
+  std::vector<double> speeds(static_cast<size_t>(n));
+  for (graph::RoadId r = 0; r < n; ++r) {
+    speeds[static_cast<size_t>(r)] = model.Mu(slot, r);
+  }
+  for (size_t i = 0; i < sampled.size(); ++i) {
+    speeds[static_cast<size_t>(sampled[i])] = values[i];
+  }
+  // Relax order: a textbook FIFO BFS from the samples (each once, in the
+  // given order), every road 1..H hops out in discovery order.
+  const gsp::GspOptions& options = propagator.options();
+  std::vector<int> hops(static_cast<size_t>(n), -1);
+  std::deque<graph::RoadId> queue;
+  for (graph::RoadId s : sampled) {
+    if (hops[static_cast<size_t>(s)] == 0) continue;
+    hops[static_cast<size_t>(s)] = 0;
+    queue.push_back(s);
+  }
+  std::vector<graph::RoadId> order;
+  while (!queue.empty()) {
+    const graph::RoadId r = queue.front();
+    queue.pop_front();
+    const int next = hops[static_cast<size_t>(r)] + 1;
+    if (options.hop_limit > 0 && next > options.hop_limit) continue;
+    for (const graph::Adjacency& adj : model.graph().Neighbors(r)) {
+      if (hops[static_cast<size_t>(adj.neighbor)] != -1) continue;
+      hops[static_cast<size_t>(adj.neighbor)] = next;
+      order.push_back(adj.neighbor);
+      queue.push_back(adj.neighbor);
+    }
+  }
+  for (int sweep = 0; sweep < options.max_sweeps && !order.empty();
+       ++sweep) {
+    double max_delta = 0.0;
+    for (graph::RoadId r : order) {
+      const double updated = propagator.UpdateValue(slot, r, speeds);
+      max_delta = std::max(max_delta,
+                           std::fabs(updated - speeds[static_cast<size_t>(r)]));
+      speeds[static_cast<size_t>(r)] = updated;
+    }
+    if (max_delta < options.epsilon) break;
+  }
+  return speeds;
+}
+
 std::vector<graph::RoadId> OraclePrune(
     const rtf::CorrelationTable& table,
     const std::vector<graph::RoadId>& queried_roads,
@@ -236,6 +330,63 @@ std::vector<double> RandomRho(const graph::Graph& g, util::Rng& rng) {
   std::vector<double> rho(static_cast<size_t>(g.num_edges()));
   for (double& r : rho) r = rng.UniformDouble(0.05, 0.95);
   return rho;
+}
+
+/// An RTF model with random per-road means and spreads and random edge
+/// correlations (enough variety that sweeps take several passes).
+rtf::RtfModel RandomModel(const graph::Graph& g, int slots, util::Rng& rng) {
+  rtf::RtfModel model(g, slots);
+  for (int slot = 0; slot < slots; ++slot) {
+    for (graph::RoadId r = 0; r < g.num_roads(); ++r) {
+      model.SetMu(slot, r, rng.UniformDouble(20.0, 90.0));
+      model.SetSigma(slot, r, rng.UniformDouble(1.0, 8.0));
+    }
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+      model.SetRho(slot, e, rng.UniformDouble(0.1, 0.95));
+    }
+  }
+  return model;
+}
+
+/// The metro world of the OCS tests: a 2000-road network with a west-east
+/// speed gradient over 4 days x 2 slots, served at C = H = 2 with pruning.
+struct OcsWorld {
+  graph::Graph graph;
+  traffic::HistoryStore history;
+  core::CrowdRtseConfig config;
+};
+
+OcsWorld MakeOcsWorld(util::Rng& rng, int slots) {
+  graph::MetroNetworkOptions metro;
+  metro.num_roads = 2000;
+  std::vector<std::pair<double, double>> positions;
+  graph::Graph g = *graph::MetroNetwork(metro, &positions);
+  const int n = g.num_roads();
+  constexpr int kDays = 4;
+  traffic::HistoryStore history(n, kDays, slots);
+  for (int day = 0; day < kDays; ++day) {
+    for (int slot = 0; slot < slots; ++slot) {
+      for (graph::RoadId r = 0; r < n; ++r) {
+        history.At(day, slot, r) =
+            30.0 + 40.0 * positions[static_cast<size_t>(r)].first +
+            rng.UniformDouble(-4.0, 4.0);
+      }
+    }
+  }
+  core::CrowdRtseConfig config;
+  config.correlation_hop_radius = kHops;
+  config.gsp.hop_limit = kHops;
+  config.prune_zero_gain_candidates = true;
+  return {std::move(g), std::move(history), config};
+}
+
+void ExpectSameGather(const crowd::RoundWorkers& got,
+                      const crowd::RoundWorkers& want) {
+  EXPECT_EQ(got.by_id, want.by_id);
+  ASSERT_EQ(got.on_road.size(), want.on_road.size());
+  for (size_t j = 0; j < got.on_road.size(); ++j) {
+    EXPECT_EQ(got.on_road[j], want.on_road[j]) << "road position " << j;
+  }
 }
 
 void ExpectSamePlan(const util::Result<crowd::AssignmentPlan>& got,
@@ -446,30 +597,12 @@ TEST(ServePathDifferentialTest, DensePruneMatchesFullScan) {
 
 TEST(ServePathDifferentialTest, SelectRoadsMatchesFullScanPrune) {
   util::Rng rng(41);
-  graph::MetroNetworkOptions metro;
-  metro.num_roads = 2000;
-  std::vector<std::pair<double, double>> positions;
-  const graph::Graph g = *graph::MetroNetwork(metro, &positions);
-  const int n = g.num_roads();
-  constexpr int kDays = 4;
   constexpr int kSlots = 2;
-  traffic::HistoryStore history(n, kDays, kSlots);
-  for (int day = 0; day < kDays; ++day) {
-    for (int slot = 0; slot < kSlots; ++slot) {
-      for (graph::RoadId r = 0; r < n; ++r) {
-        history.At(day, slot, r) =
-            30.0 + 40.0 * positions[static_cast<size_t>(r)].first +
-            rng.UniformDouble(-4.0, 4.0);
-      }
-    }
-  }
-  core::CrowdRtseConfig config;
-  config.correlation_hop_radius = kHops;
-  config.gsp.hop_limit = kHops;
-  config.prune_zero_gain_candidates = true;
-  auto system = core::CrowdRtse::BuildOffline(g, history, config);
+  const OcsWorld world = MakeOcsWorld(rng, kSlots);
+  const graph::Graph& g = world.graph;
+  auto system = core::CrowdRtse::BuildOffline(g, world.history, world.config);
   ASSERT_TRUE(system.ok());
-  const crowd::CostModel costs = RandomCosts(n, rng);
+  const crowd::CostModel costs = RandomCosts(g.num_roads(), rng);
   WorkerRegistry registry(g, RandomWorkers(g, rng), {}, 41);
   for (int q = 0; q < 20; ++q) {
     SCOPED_TRACE("query " + std::to_string(q));
@@ -485,7 +618,7 @@ TEST(ServePathDifferentialTest, SelectRoadsMatchesFullScanPrune) {
     auto problem = ocs::OcsProblem::Create(
         **table, queried, system->SigmaWeights(slot, queried),
         OraclePrune(**table, queried, worker_roads), costs, budget,
-        config.theta);
+        world.config.theta);
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(problem.ok());
     const ocs::OcsSolution want = ocs::HybridGreedy(*problem);
@@ -494,6 +627,224 @@ TEST(ServePathDifferentialTest, SelectRoadsMatchesFullScanPrune) {
     EXPECT_TRUE(Bitwise(got->objective, want.objective));
     EXPECT_EQ(got->total_cost, want.total_cost);
   }
+}
+
+// The registry's worker index answers GatherWorkers exactly as the former
+// population scan did: on a population with duplicate ids, equal noise
+// levels and empty roads, fresh, mixed by AdvanceSlot (moves and churn) and
+// after ReplaceWorkers. The id lists mix hired ids, absent ids and
+// duplicates; the road lists mix covered, empty and off-map roads.
+TEST(ServePathDifferentialTest, IndexedGatherMatchesFullScan) {
+  for (uint64_t seed = 51; seed <= 54; ++seed) {
+    util::Rng rng(seed);
+    const graph::Graph g = RandomMetro(rng);
+    const int n = g.num_roads();
+    const crowd::CostModel costs = RandomCosts(n, rng);
+    WorkerRegistryOptions options;
+    options.churn_probability = 0.05;
+    WorkerRegistry registry(g, RandomWorkers(g, rng), options, seed);
+    int nonempty_pools = 0;
+    int resolved = 0;
+    for (int step = 0; step < 6; ++step) {
+      if (step == 3) {
+        registry.ReplaceWorkers(RandomWorkers(g, rng));
+      } else if (step > 0) {
+        registry.AdvanceSlot();
+      }
+      const std::vector<crowd::Worker>& workers = registry.workers();
+      for (int q = 0; q < 15; ++q) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                     std::to_string(step) + " query " + std::to_string(q));
+        // Distinct roads around a query, plus an empty road and, now and
+        // then, ids off the map.
+        std::vector<graph::RoadId> roads = RandomQuery(g, rng, q);
+        for (const graph::Adjacency& adj : g.Neighbors(roads.front())) {
+          roads.push_back(adj.neighbor);
+        }
+        for (graph::RoadId r = 0; r < n; ++r) {
+          if (registry.CountOn(r) == 0) {
+            roads.push_back(r);
+            break;
+          }
+        }
+        if (q % 4 == 1) {
+          roads.push_back(-1);
+          roads.push_back(n + 1);
+        }
+        std::sort(roads.begin(), roads.end());
+        roads.erase(std::unique(roads.begin(), roads.end()), roads.end());
+        Shuffle(roads, rng);
+        // Hired ids from a real plan, a repeated id and absent ids.
+        std::vector<crowd::WorkerId> ids;
+        std::vector<graph::RoadId> selected;
+        for (graph::RoadId r : roads) {
+          if (r >= 0 && r < n) selected.push_back(r);
+        }
+        const auto plan = crowd::AssignTasks(selected, costs, registry.index());
+        ASSERT_TRUE(plan.ok());
+        for (const crowd::TaskAssignment& t : plan->assignments) {
+          ids.push_back(t.worker);
+        }
+        if (!ids.empty()) ids.push_back(ids.front());
+        ids.push_back(-5);
+        ids.push_back(static_cast<crowd::WorkerId>(
+            workers[rng.UniformUint64(workers.size())].id));
+        Shuffle(ids, rng);
+
+        const crowd::RoundWorkers got =
+            crowd::GatherWorkers(ids, roads, registry.index());
+        ExpectSameGather(got, OracleGatherWorkers(ids, roads, workers));
+        for (const auto& pool : got.on_road) nonempty_pools += !pool.empty();
+        for (const crowd::Worker* w : got.by_id) resolved += w != nullptr;
+
+        // Assignment from the index equals the former population scan.
+        ExpectSamePlan(crowd::AssignTasks(selected, costs, registry.index()),
+                       OracleAssignTasks(selected, costs, workers));
+      }
+    }
+    EXPECT_GT(nonempty_pools, 50);
+    EXPECT_GT(resolved, 50);
+  }
+}
+
+// SelectRoads over the serve path's candidates — the covered roads of the
+// query's C-hop ball, listed by WorkerRegistry::CoveredAmong — returns the
+// selection over every covered road of the map, with every selector, on a
+// registry that moves between queries.
+TEST(ServePathDifferentialTest, BallScopedSelectionMatchesFullList) {
+  util::Rng rng(61);
+  constexpr int kSlots = 2;
+  const OcsWorld world = MakeOcsWorld(rng, kSlots);
+  const graph::Graph& g = world.graph;
+  auto system = core::CrowdRtse::BuildOffline(g, world.history, world.config);
+  ASSERT_TRUE(system.ok());
+  ASSERT_TRUE(system->BallScopedSelection());
+  const crowd::CostModel costs = RandomCosts(g.num_roads(), rng);
+  WorkerRegistryOptions options;
+  options.churn_probability = 0.05;
+  WorkerRegistry registry(g, RandomWorkers(g, rng), options, 61);
+  const core::SelectorKind kSelectors[] = {
+      core::SelectorKind::kHybridGreedy, core::SelectorKind::kRatioGreedy,
+      core::SelectorKind::kObjectiveGreedy,
+      core::SelectorKind::kLazyHybridGreedy};
+  int selected = 0;
+  for (int q = 0; q < 24; ++q) {
+    if (q % 6 == 5) registry.AdvanceSlot();
+    const int slot = q % kSlots;
+    const std::vector<graph::RoadId> queried = RandomQuery(g, rng, q);
+    const std::vector<graph::RoadId> ball =
+        graph::RoadsWithinHops(g, queried, kHops);
+    const std::vector<graph::RoadId> ball_roads =
+        registry.CoveredAmong(ball);
+    const std::vector<graph::RoadId> all_roads = registry.CoveredRoads();
+    EXPECT_LT(ball_roads.size() * 10, all_roads.size());
+    const int budget = 2 + static_cast<int>(rng.UniformUint64(10));
+    for (core::SelectorKind selector : kSelectors) {
+      SCOPED_TRACE("query " + std::to_string(q) + " selector " +
+                   std::to_string(static_cast<int>(selector)));
+      const auto got = system->SelectRoads(slot, queried, ball_roads, costs,
+                                           budget, selector);
+      const auto want = system->SelectRoads(slot, queried, all_roads, costs,
+                                            budget, selector);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(got->roads, want->roads);
+      EXPECT_TRUE(Bitwise(got->objective, want->objective));
+      EXPECT_EQ(got->total_cost, want->total_cost);
+      selected += static_cast<int>(got->roads.size());
+    }
+  }
+  EXPECT_GT(selected, 100);
+}
+
+// The epoch-stamped GSP workspace leaves nothing behind between queries.
+// Many propagations run on one thread, alternating between two graphs of
+// different sizes (so stamps from the other graph and from earlier queries
+// are all live in the arrays), at H = 0 (whole component) and H = 2:
+//  - the reference kernel's PropagateAt equals the former dense
+//    propagation bit for bit on the queried roads;
+//  - the production kernel's PropagateAt and dense Propagate equal the
+//    same query run on a fresh thread, whose workspace holds no stamps.
+TEST(ServePathDifferentialTest, StampedGspMatchesDensePropagation) {
+  util::Rng rng(71);
+  graph::MetroNetworkOptions small_options;
+  small_options.num_roads = 600;
+  graph::MetroNetworkOptions large_options;
+  large_options.num_roads = 2500;
+  const graph::Graph graphs[] = {*graph::MetroNetwork(small_options),
+                                 *graph::MetroNetwork(large_options)};
+  constexpr int kSlots = 2;
+  const rtf::RtfModel models[] = {RandomModel(graphs[0], kSlots, rng),
+                                  RandomModel(graphs[1], kSlots, rng)};
+  int relaxed_queries = 0;
+  for (int hop_limit : {0, kHops}) {
+    for (int q = 0; q < 60; ++q) {
+      SCOPED_TRACE("H " + std::to_string(hop_limit) + " query " +
+                   std::to_string(q));
+      const graph::Graph& g = graphs[q % 2];
+      const rtf::RtfModel& model = models[q % 2];
+      const int slot = (q / 2) % kSlots;
+      // Probes around a query neighbourhood, a repeated probe (the later
+      // value wins), and the queried roads to read.
+      std::vector<graph::RoadId> sampled = RandomQuery(g, rng, q);
+      std::vector<double> values;
+      for (size_t i = 0; i < sampled.size(); ++i) {
+        values.push_back(rng.UniformDouble(10.0, 100.0));
+      }
+      if (q % 3 == 0) {
+        sampled.push_back(sampled.front());
+        values.push_back(rng.UniformDouble(10.0, 100.0));
+      }
+      if (q % 7 == 6) {
+        sampled.clear();
+        values.clear();
+      }
+      std::vector<graph::RoadId> read = RandomQuery(g, rng, q + 1);
+      for (graph::RoadId r : sampled) read.push_back(r);
+      for (const graph::Adjacency& adj : g.Neighbors(read.front())) {
+        read.push_back(adj.neighbor);
+      }
+
+      gsp::GspOptions options;
+      options.hop_limit = hop_limit;
+      options.epsilon = 1e-6;
+      options.kernel = gsp::GspKernel::kReference;
+      const gsp::SpeedPropagator reference(model, options);
+      const auto stamped = reference.PropagateAt(slot, sampled, values, read);
+      ASSERT_TRUE(stamped.ok());
+      const std::vector<double> dense =
+          OracleDensePropagate(model, reference, slot, sampled, values);
+      ASSERT_EQ(stamped->speeds.size(), read.size());
+      for (size_t i = 0; i < read.size(); ++i) {
+        EXPECT_TRUE(Bitwise(stamped->speeds[i],
+                            dense[static_cast<size_t>(read[i])]))
+            << "road " << read[i];
+      }
+      relaxed_queries += stamped->relaxed > 0;
+
+      options.kernel = gsp::GspKernel::kUnrolled;
+      const gsp::SpeedPropagator unrolled(model, options);
+      const auto at = unrolled.PropagateAt(slot, sampled, values, read);
+      const auto full = unrolled.Propagate(slot, sampled, values);
+      util::Result<gsp::GspReadout> fresh =
+          util::Status::FailedPrecondition("not run");
+      std::thread([&] {
+        fresh = unrolled.PropagateAt(slot, sampled, values, read);
+      }).join();
+      ASSERT_TRUE(at.ok());
+      ASSERT_TRUE(full.ok());
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_EQ(at->sweeps, fresh->sweeps);
+      EXPECT_EQ(at->relaxed, fresh->relaxed);
+      EXPECT_EQ(full->sweeps, fresh->sweeps);
+      for (size_t i = 0; i < read.size(); ++i) {
+        EXPECT_TRUE(Bitwise(at->speeds[i], fresh->speeds[i]));
+        EXPECT_TRUE(Bitwise(full->speeds[static_cast<size_t>(read[i])],
+                            fresh->speeds[i]));
+      }
+    }
+  }
+  EXPECT_GT(relaxed_queries, 80);
 }
 
 }  // namespace

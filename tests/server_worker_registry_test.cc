@@ -162,5 +162,75 @@ TEST(WorkerRegistryTest, RoadCountsFollowMovesAndChurn) {
   }
 }
 
+// The worker index equals a from-scratch bucketing after every slot: each
+// road's bucket holds exactly its workers, cleanest first (noise, then id,
+// then population order), and every id resolves to its last holder. The
+// population starts with duplicate ids and tied noise levels, and moves
+// and churns each slot.
+TEST(WorkerRegistryTest, IndexMatchesFromScratchBucketing) {
+  const graph::Graph g = TestGraph();
+  util::Rng rng(23);
+  std::vector<crowd::Worker> initial;
+  for (int i = 0; i < 300; ++i) {
+    crowd::Worker w;
+    w.id = static_cast<crowd::WorkerId>(rng.UniformUint64(250));
+    // Every road but the last ten starts with workers.
+    w.road = static_cast<graph::RoadId>(
+        rng.UniformUint64(static_cast<uint64_t>(g.num_roads() - 10)));
+    w.noise_kmh = 0.5 * static_cast<double>(rng.UniformUint64(4));
+    initial.push_back(w);
+  }
+  WorkerRegistryOptions options;
+  options.churn_probability = 0.1;
+  WorkerRegistry registry(g, initial, options, 29);
+  for (int step = 0; step < 12; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::vector<crowd::Worker>& workers = registry.workers();
+    std::vector<std::vector<const crowd::Worker*>> buckets(
+        static_cast<size_t>(g.num_roads()));
+    for (const crowd::Worker& w : workers) {
+      buckets[static_cast<size_t>(w.road)].push_back(&w);
+    }
+    int empty_roads = 0;
+    for (graph::RoadId r = 0; r < g.num_roads(); ++r) {
+      std::vector<const crowd::Worker*>& want =
+          buckets[static_cast<size_t>(r)];
+      std::stable_sort(want.begin(), want.end(),
+                       [](const crowd::Worker* a, const crowd::Worker* b) {
+                         return a->noise_kmh != b->noise_kmh
+                                    ? a->noise_kmh < b->noise_kmh
+                                    : a->id < b->id;
+                       });
+      ASSERT_EQ(registry.WorkersOn(r), want) << "road " << r;
+      ASSERT_EQ(registry.CountOn(r), static_cast<int>(want.size()));
+      empty_roads += want.empty();
+    }
+    if (step == 0) {
+      EXPECT_GE(empty_roads, 10);
+    }
+    EXPECT_TRUE(registry.WorkersOn(-1).empty());
+    EXPECT_TRUE(registry.WorkersOn(g.num_roads()).empty());
+    for (const crowd::Worker& w : workers) {
+      const crowd::Worker* last = nullptr;
+      for (const crowd::Worker& other : workers) {
+        if (other.id == w.id) last = &other;
+      }
+      ASSERT_EQ(registry.index().FindById(w.id), last);
+    }
+    EXPECT_EQ(registry.index().FindById(-3), nullptr);
+    EXPECT_EQ(registry.index().FindById(1 << 30), nullptr);
+    // CoveredAmong is the covered part of any road list, sorted and
+    // distinct, with off-map ids dropped.
+    std::vector<graph::RoadId> probe = {g.num_roads() - 1, 3, -2, 3, 0,
+                                        g.num_roads() + 4, 17};
+    std::vector<graph::RoadId> covered;
+    for (graph::RoadId r : {0, 3, 17, g.num_roads() - 1}) {
+      if (registry.CountOn(r) > 0) covered.push_back(r);
+    }
+    EXPECT_EQ(registry.CoveredAmong(probe), covered);
+    registry.AdvanceSlot();
+  }
+}
+
 }  // namespace
 }  // namespace crowdrtse::server

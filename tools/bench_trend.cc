@@ -11,8 +11,18 @@
 //                 every baseline kernel still present in the fresh run
 //   scale         qps_ratio_1_to_max                   (band, default 50%)
 //                 failed == 0 at every sweep point; served > 0
+//                 work per query, largest map / smallest map, at every
+//                 shard count: <= 1.5 (absolute; the fresh run only)
 // A band of t means the fresh ratio must stay >= baseline * (1 - t); the
-// upper side is unchecked — getting faster is not a regression.
+// upper side is unchecked — getting faster is not a regression. The work
+// gate needs no band: work counts are exact (bench_scale's "work" rows),
+// so it cannot trip on host noise. It sees only the counted steps (the
+// candidate ball, or the whole map when the serve path lists every covered
+// road; the index entries on the selected roads; the candidates handed to
+// OCS; GSP's relax-order updates): it fails when one of those grows with
+// the city. A map-sized pass that no counter sees, such as a dense fill
+// inside a helper, leaves the counts as they are; only the QPS band and
+// the serving benchmark's latency show it.
 //
 // Usage: bench_trend --baseline=PATH --fresh=PATH --kind=micro|scale
 //                    [--tolerance=0.5]
@@ -22,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -95,9 +106,62 @@ void CheckMicrokernels(const net::json::Value& baseline,
   }
 }
 
+/// Per-query work may grow at most this much from the smallest to the
+/// largest map bench_scale measured (8k -> 60k roads: 7.5x the city).
+constexpr double kMaxWorkGrowth = 1.5;
+
+/// For every shard count in the fresh run's "work" rows: work per query on
+/// the largest map / on the smallest map <= kMaxWorkGrowth.
+void CheckWorkGrowth(const net::json::Value& fresh) {
+  const net::json::Value* work = fresh.Find("work");
+  Check(work != nullptr, "fresh run lacks a work array");
+  if (work == nullptr) return;
+  struct Extremes {
+    double min_roads = 0.0, min_work = 0.0, max_roads = 0.0, max_work = 0.0;
+  };
+  std::map<int64_t, Extremes> by_shards;
+  for (const auto& row : work->AsArray()) {
+    const net::json::Value* shards = row.Find("shards");
+    const net::json::Value* roads = row.Find("roads");
+    const net::json::Value* per_query = row.Find("work_per_query");
+    Check(shards != nullptr && roads != nullptr && per_query != nullptr,
+          "work row lacks shards, roads or work_per_query");
+    if (shards == nullptr || roads == nullptr || per_query == nullptr) {
+      continue;
+    }
+    const int64_t k = static_cast<int64_t>(shards->AsDouble());
+    const auto [it, fresh_k] = by_shards.try_emplace(k);
+    Extremes& e = it->second;
+    if (fresh_k || roads->AsDouble() < e.min_roads) {
+      e.min_roads = roads->AsDouble();
+      e.min_work = per_query->AsDouble();
+    }
+    if (fresh_k || roads->AsDouble() > e.max_roads) {
+      e.max_roads = roads->AsDouble();
+      e.max_work = per_query->AsDouble();
+    }
+  }
+  Check(!by_shards.empty(), "fresh work array is empty");
+  for (const auto& [k, e] : by_shards) {
+    const std::string at = "shards=" + std::to_string(k);
+    Check(e.max_roads > e.min_roads,
+          "work rows at " + at + " cover only one map size");
+    Check(e.min_work > 0.0, "work rows at " + at + " report no work");
+    if (!(e.max_roads > e.min_roads) || !(e.min_work > 0.0)) continue;
+    const double growth = e.max_work / e.min_work;
+    const bool ok = growth <= kMaxWorkGrowth;
+    std::printf("work per query %s: %.0f roads %8.1f  %.0f roads %8.1f  "
+                "growth %.3f (max %.2f)  %s\n",
+                at.c_str(), e.min_roads, e.min_work, e.max_roads, e.max_work,
+                growth, kMaxWorkGrowth, ok ? "ok" : "GREW");
+    Check(ok, "work per query at " + at + " grew with the city");
+  }
+}
+
 void CheckScale(const net::json::Value& baseline, const net::json::Value& fresh,
                 double tolerance) {
   CheckRatio(baseline, fresh, "qps_ratio_1_to_max", tolerance);
+  CheckWorkGrowth(fresh);
 
   const net::json::Value* sweep = fresh.Find("sweep");
   Check(sweep != nullptr, "fresh run lacks a sweep array");
