@@ -156,11 +156,9 @@ int ServeDemo(const std::string& net_path, const std::string& hist_path,
         }(),
         today.SlotSpeeds(request.slot), request.queried);
     std::printf(
-        "query %lld  slot %3d  probed %2zu roads  paid %2d  MAPE %.3f  "
-        "(ocs %.1fms, gsp %.1fms)\n",
+        "query %lld  slot %3d  probed %2zu roads  paid %2d  MAPE %.3f\n",
         static_cast<long long>(response->query_id), request.slot,
-        response->probed_roads.size(), response->paid, quality->mape,
-        response->ocs_millis, response->gsp_millis);
+        response->probed_roads.size(), response->paid, quality->mape);
     registry.AdvanceSlot();
   }
   std::printf("%s\n%s\n", engine.stats().Report().c_str(),

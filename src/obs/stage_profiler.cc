@@ -3,8 +3,6 @@
 #include <chrono>
 #include <string>
 
-#include "util/trace.h"
-
 #if defined(__linux__) || defined(__APPLE__)
 #include <time.h>
 #define CROWDRTSE_HAS_THREAD_CPUTIME 1
@@ -50,24 +48,17 @@ int64_t ThreadCpuNanos() {
 #endif
 }
 
-StageProfiler::StageProfiler(util::metrics::MetricsRegistry* registry,
-                             Options options)
-    : options_(options) {
+StageProfiler::StageProfiler(util::metrics::MetricsRegistry* registry) {
   for (int i = 0; i < kNumStages; ++i) {
     const std::string label =
         std::string("{stage=\"") + StageName(static_cast<Stage>(i)) + "\"}";
     wall_[i] = &registry->GetHistogram(
         "crowdrtse_stage_wall_ms" + label,
-        "Wall time per serve-pipeline stage (sampled; exemplar = query id)");
+        "Wall time per serve-pipeline stage (exemplar = query id)");
     cpu_[i] = &registry->GetHistogram(
         "crowdrtse_stage_cpu_ms" + label,
-        "Thread-CPU time per serve-pipeline stage (sampled)");
+        "Thread-CPU time per serve-pipeline stage");
   }
-}
-
-bool StageProfiler::ShouldProfile(int64_t query_id) const {
-  return util::trace::ShouldSample(options_.sample_rate,
-                                   static_cast<uint64_t>(query_id));
 }
 
 void StageProfiler::RecordStage(Stage stage, int64_t query_id, double wall_ms,
@@ -83,13 +74,8 @@ int64_t ActiveProfileQueryId() { return t_profile_query; }
 
 ScopedProfile::ScopedProfile(StageProfiler* profiler, int64_t query_id)
     : previous_profiler_(t_profiler), previous_query_(t_profile_query) {
-  if (profiler != nullptr && profiler->ShouldProfile(query_id)) {
-    t_profiler = profiler;
-    t_profile_query = query_id;
-  } else {
-    t_profiler = nullptr;
-    t_profile_query = 0;
-  }
+  t_profiler = profiler;
+  t_profile_query = query_id;
 }
 
 ScopedProfile::~ScopedProfile() {

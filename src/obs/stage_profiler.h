@@ -26,33 +26,22 @@ const char* StageName(Stage stage);
 /// wall attribution still works).
 int64_t ThreadCpuNanos();
 
-/// Sampling per-stage wall/CPU profiler. One instance per engine, writing
-/// labeled histograms into that engine's MetricsRegistry:
+/// Per-stage wall/CPU profiler. One instance per engine, writing labeled
+/// histograms into that engine's MetricsRegistry:
 ///
 ///   crowdrtse_stage_wall_ms{stage="ocs.select"}  (+ _cpu_ms)
 ///
-/// Each recorded sample carries the query id as the bucket's exemplar, so
-/// a p99 bucket in /metrics links straight to a trace id that landed there
-/// (`/trace/<id>` shows the stitched span tree).
-///
-/// Sampling is deterministic per query id (same hash as trace sampling),
-/// so profiled-vs-unprofiled runs stay bit-identical in results and a
-/// given query profiles identically on every replica.
+/// Every query that runs a stage records it: wall time on steady_clock,
+/// CPU time on the thread's CPU clock. Each sample carries the query id as
+/// the bucket's exemplar, so a p99 bucket in /metrics links straight to a
+/// trace id that landed there (`/trace/<id>` shows the stitched span tree
+/// when that query was traced).
 class StageProfiler {
  public:
-  struct Options {
-    /// Fraction of queries profiled (deterministic by query id). 0
-    /// disables; 1 profiles everything.
-    double sample_rate = 0.0;
-  };
-
-  StageProfiler(util::metrics::MetricsRegistry* registry, Options options);
+  explicit StageProfiler(util::metrics::MetricsRegistry* registry);
 
   StageProfiler(const StageProfiler&) = delete;
   StageProfiler& operator=(const StageProfiler&) = delete;
-
-  /// Deterministic sampling decision for `query_id`.
-  bool ShouldProfile(int64_t query_id) const;
 
   /// Records one stage sample (called by StageTimer). `query_id` becomes
   /// the exemplar on the wall histogram's bucket.
@@ -60,23 +49,21 @@ class StageProfiler {
                    double cpu_ms);
 
  private:
-  Options options_;
   util::metrics::LatencyHistogram* wall_[kNumStages];
   util::metrics::LatencyHistogram* cpu_[kNumStages];
 };
 
 /// The profiler the calling thread's current query records into (set by
-/// ScopedProfile); nullptr when the query is unprofiled.
+/// ScopedProfile); nullptr outside any scope.
 StageProfiler* ActiveProfiler();
 /// Query id of the active profile scope, 0 when none.
 int64_t ActiveProfileQueryId();
 
 /// Installs a per-query profiling scope on the calling thread — the stage
 /// timers below find it through TLS, so deep pipeline layers (gamma cache,
-/// GSP) need no profiler plumbing. No-op (and cheap) when `profiler` is
-/// null or `query_id` doesn't sample. The sharded router installs its
-/// scope around sub-serves so all stages of a cross-shard query aggregate
-/// under the router's query id; QueryEngine only installs its own when no
+/// GSP) need no profiler plumbing. The sharded router installs its scope
+/// around sub-serves so all stages of a cross-shard query aggregate under
+/// the router's query id; QueryEngine only installs its own when no
 /// ambient scope exists.
 class ScopedProfile {
  public:
@@ -91,9 +78,9 @@ class ScopedProfile {
   int64_t previous_query_;
 };
 
-/// RAII wall+CPU stage timer. When no ScopedProfile is active on the
-/// thread, construction is two thread-local reads and destruction one
-/// branch — cheap enough for every serve. Stop() records early.
+/// RAII wall+CPU stage timer: two steady_clock and two thread-CPU clock
+/// reads per stage. Outside any ScopedProfile it records nothing and costs
+/// one thread-local read. Stop() records early.
 class StageTimer {
  public:
   explicit StageTimer(Stage stage);

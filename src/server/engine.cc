@@ -10,9 +10,6 @@ std::string EngineStats::Report() const {
       ", rejected " + std::to_string(queries_rejected) + ", failed " +
       std::to_string(queries_failed) + ", paid " +
       std::to_string(total_paid) + " units\n";
-  out += "  ocs:    " + ocs_latency.ToString() + "\n";
-  out += "  crowd:  " + crowd_latency.ToString() + "\n";
-  out += "  gsp:    " + gsp_latency.ToString() + "\n";
   out += "  serve:  " + serve_latency.ToString() + "\n";
   out += "  dispatch: retries " + std::to_string(crowd_retries) +
          ", reassigned " + std::to_string(crowd_reassignments) +
@@ -38,74 +35,130 @@ std::string EngineStats::Report() const {
   return out;
 }
 
-std::string EngineStats::ReportJson() const {
-  std::string out = "{";
-  out += "\"crowdrtse_queries_served_total\":" +
-         std::to_string(queries_served);
-  out += ",\"crowdrtse_queries_rejected_total\":" +
-         std::to_string(queries_rejected);
-  out += ",\"crowdrtse_queries_failed_total\":" +
-         std::to_string(queries_failed);
-  out += ",\"crowdrtse_paid_units_total\":" + std::to_string(total_paid);
-  out += ",\"crowdrtse_roads_degraded_total\":" +
-         std::to_string(roads_degraded);
-  out += ",\"crowdrtse_degraded_deadline_total\":" +
-         std::to_string(degraded_deadline);
-  out += ",\"crowdrtse_degraded_outlier_total\":" +
-         std::to_string(degraded_outlier);
-  out += ",\"crowdrtse_degraded_unstaffed_total\":" +
-         std::to_string(degraded_unstaffed);
-  out += ",\"crowdrtse_degraded_load_shed_total\":" +
-         std::to_string(degraded_load_shed);
-  out += ",\"crowdrtse_queries_shed_total\":" + std::to_string(queries_shed);
-  out += ",\"crowdrtse_dispatch_retries_total\":" +
-         std::to_string(crowd_retries);
-  out += ",\"crowdrtse_dispatch_reassignments_total\":" +
-         std::to_string(crowd_reassignments);
-  out += ",\"crowdrtse_dispatch_deadline_misses_total\":" +
-         std::to_string(crowd_deadline_misses);
-  out += ",\"crowdrtse_reports_late_total\":" + std::to_string(reports_late);
-  out += ",\"crowdrtse_reports_duplicate_total\":" +
-         std::to_string(reports_duplicate);
-  out += ",\"crowdrtse_reports_outlier_total\":" +
-         std::to_string(reports_outlier);
-  out += ",\"crowdrtse_ocs_latency_ms\":" + ocs_latency.ToJson();
-  out += ",\"crowdrtse_crowd_latency_ms\":" + crowd_latency.ToJson();
-  out += ",\"crowdrtse_gsp_latency_ms\":" + gsp_latency.ToJson();
-  out += ",\"crowdrtse_serve_latency_ms\":" + serve_latency.ToJson();
-  out += ",\"crowdrtse_gamma_cache_hits\":" +
-         std::to_string(gamma_cache.hits);
-  out += ",\"crowdrtse_gamma_cache_misses\":" +
-         std::to_string(gamma_cache.misses);
-  out += ",\"crowdrtse_gamma_cache_coalesced\":" +
-         std::to_string(gamma_cache.coalesced);
-  out += ",\"crowdrtse_gamma_cache_evictions\":" +
-         std::to_string(gamma_cache.evictions);
-  out += ",\"crowdrtse_gamma_cache_resident_tables\":" +
-         std::to_string(gamma_cache.resident_tables);
-  out += ",\"crowdrtse_gamma_cache_resident_bytes\":" +
-         std::to_string(gamma_cache.resident_bytes);
-  out += ",\"crowdrtse_gamma_compute_latency_ms\":" +
-         gamma_cache.compute_latency.ToJson();
-  if (!shards.empty()) {
-    out += ",\"crowdrtse_shards\":[";
-    for (size_t i = 0; i < shards.size(); ++i) {
-      const ShardStats& shard = shards[i];
-      if (i > 0) out += ",";
-      out += "{\"shard\":" + std::to_string(shard.shard);
-      out += ",\"queries_served\":" + std::to_string(shard.queries_served);
-      out += ",\"queries_rejected\":" +
-             std::to_string(shard.queries_rejected);
-      out += ",\"queries_failed\":" + std::to_string(shard.queries_failed);
-      out += ",\"roads_degraded\":" + std::to_string(shard.roads_degraded);
-      out += ",\"gamma_cache_bytes\":" +
-             std::to_string(shard.gamma_cache_bytes);
-      out += "}";
-    }
-    out += "]";
+util::Status ValidateQuery(const QueryRequest& request, int num_slots,
+                           int num_roads) {
+  if (request.queried.empty()) {
+    return util::Status::InvalidArgument("query has no roads");
   }
-  out += "}";
-  return out;
+  if (request.slot < 0 || request.slot >= num_slots) {
+    return util::Status::InvalidArgument(
+        "slot out of range: " + std::to_string(request.slot) +
+        " not in [0, " + std::to_string(num_slots) + ")");
+  }
+  for (graph::RoadId r : request.queried) {
+    if (r < 0 || r >= num_roads) {
+      return util::Status::InvalidArgument(
+          "queried road out of range: " + std::to_string(r) + " not in [0, " +
+          std::to_string(num_roads) + ")");
+    }
+  }
+  return util::Status::Ok();
+}
+
+ServeCounters::ServeCounters(util::metrics::MetricsRegistry& registry)
+    : served_(&registry.GetCounter("crowdrtse_queries_served_total",
+                                   "queries answered successfully")),
+      rejected_(&registry.GetCounter(
+          "crowdrtse_queries_rejected_total",
+          "queries refused up front (bad request or campaign budget dry)")),
+      failed_(&registry.GetCounter(
+          "crowdrtse_queries_failed_total",
+          "queries that died mid-pipeline after their budget grant")),
+      paid_units_(&registry.GetCounter("crowdrtse_paid_units_total",
+                                       "answer-units paid to the crowd")),
+      shed_(&registry.GetCounter(
+          "crowdrtse_queries_shed_total",
+          "queries answered entirely from the periodic fallback")),
+      roads_degraded_(&registry.GetCounter(
+          "crowdrtse_roads_degraded_total",
+          "selected roads that fell down the degradation ladder")),
+      degraded_deadline_(&registry.GetCounter(
+          "crowdrtse_degraded_deadline_total",
+          "roads degraded because every attempt dropped out or timed out")),
+      degraded_outlier_(&registry.GetCounter(
+          "crowdrtse_degraded_outlier_total",
+          "roads degraded because all answers were rejected as implausible")),
+      degraded_unstaffed_(&registry.GetCounter(
+          "crowdrtse_degraded_unstaffed_total",
+          "roads degraded because no worker was there to ask")),
+      degraded_load_shed_(&registry.GetCounter(
+          "crowdrtse_degraded_load_shed_total",
+          "roads answered from the periodic fallback by admission shedding")),
+      serve_latency_(&registry.GetHistogram(
+          "crowdrtse_serve_latency_ms",
+          "end-to-end Serve latency (served only)")) {}
+
+util::Status ServeCounters::Reject(util::Status status) {
+  rejected_->Increment();
+  return status;
+}
+
+util::Status ServeCounters::Fail(util::Status status, int64_t paid) {
+  failed_->Increment();
+  paid_units_->Increment(paid);
+  return status;
+}
+
+void ServeCounters::Served(const QueryResponse& response,
+                           double serve_millis) {
+  serve_latency_->Record(serve_millis);
+  served_->Increment();
+  paid_units_->Increment(response.paid);
+  roads_degraded_->Increment(
+      static_cast<int64_t>(response.degraded_roads.size()));
+  for (crowd::DegradeReason reason : response.degraded_reasons) {
+    switch (reason) {
+      case crowd::DegradeReason::kDeadline:
+        degraded_deadline_->Increment();
+        break;
+      case crowd::DegradeReason::kOutlier:
+        degraded_outlier_->Increment();
+        break;
+      case crowd::DegradeReason::kUnstaffed:
+        degraded_unstaffed_->Increment();
+        break;
+      case crowd::DegradeReason::kLoadShed:
+        degraded_load_shed_->Increment();
+        break;
+    }
+  }
+}
+
+void ServeCounters::Shed(const QueryResponse& response, double serve_millis) {
+  Served(response, serve_millis);
+  shed_->Increment();
+}
+
+void ServeCounters::Fill(EngineStats& stats) const {
+  stats.queries_served = served_->value();
+  stats.queries_rejected = rejected_->value();
+  stats.queries_failed = failed_->value();
+  stats.total_paid = paid_units_->value();
+  stats.queries_shed = shed_->value();
+  stats.roads_degraded = roads_degraded_->value();
+  stats.degraded_deadline = degraded_deadline_->value();
+  stats.degraded_outlier = degraded_outlier_->value();
+  stats.degraded_unstaffed = degraded_unstaffed_->value();
+  stats.degraded_load_shed = degraded_load_shed_->value();
+  stats.serve_latency = serve_latency_->Snapshot();
+}
+
+bool ServeGate::Enter() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (draining_.load(std::memory_order_acquire)) return false;
+  ++in_flight_;
+  return true;
+}
+
+void ServeGate::Exit() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (--in_flight_ == 0) cv_.notify_all();
+}
+
+void ServeGate::Drain() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  draining_.store(true, std::memory_order_release);
+  cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 }  // namespace crowdrtse::server

@@ -1,7 +1,10 @@
 #ifndef CROWDRTSE_SERVER_ENGINE_H_
 #define CROWDRTSE_SERVER_ENGINE_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -58,7 +61,8 @@ struct ServeWork {
 };
 
 /// What the engine returns: the estimate for every queried road plus full
-/// provenance (which roads were probed, what was paid, phase latencies).
+/// provenance (which roads were probed, what was paid, how much work each
+/// step did). Per-stage timings live in the engine's stage histograms.
 struct QueryResponse {
   int64_t query_id = 0;
   std::vector<double> queried_speeds;     // aligned with request.queried
@@ -73,7 +77,7 @@ struct QueryResponse {
   std::vector<graph::RoadId> degraded_roads;
   /// Why each road in `degraded_roads` degraded, aligned with it — the
   /// same per-road verdicts the dispatch trace records, so responses and
-  /// traces always agree (previously only aggregate counters survived).
+  /// traces always agree.
   std::vector<crowd::DegradeReason> degraded_reasons;
   /// Fault-tolerant dispatch only: per-queried-road variance, aligned with
   /// `queried_speeds`. Probed roads report 0, propagated roads the GSP
@@ -82,9 +86,6 @@ struct QueryResponse {
   std::vector<double> queried_variances;
   int granted_budget = 0;
   int paid = 0;
-  double ocs_millis = 0.0;
-  double crowd_millis = 0.0;
-  double gsp_millis = 0.0;
   /// Fault-tolerant dispatch only: the crowd round's dispatch-to-resolution
   /// span on the engine clock (ms); bounded by
   /// DispatchOptions::MaxRoundSpanMs() whatever the fault plan injects.
@@ -120,10 +121,6 @@ struct EngineStats {
   int64_t queries_rejected = 0;
   int64_t queries_failed = 0;
   int64_t total_paid = 0;
-  /// Per-phase latency distributions over all queries that ran the phase.
-  util::metrics::LatencySnapshot ocs_latency;
-  util::metrics::LatencySnapshot crowd_latency;
-  util::metrics::LatencySnapshot gsp_latency;
   /// End-to-end Serve latency of successfully served queries.
   util::metrics::LatencySnapshot serve_latency;
   /// Degradation-ladder accounting (fault-tolerant dispatch only). Every
@@ -153,10 +150,86 @@ struct EngineStats {
   std::vector<ShardStats> shards;
 
   std::string Report() const;
-  /// The same snapshot as one JSON object (keys follow the registry's
-  /// metric names; histograms render via LatencySnapshot::ToJson) — what
-  /// the benches dump next to their BENCH_*.json trajectories.
-  std::string ReportJson() const;
+};
+
+/// Checks a request's shape before any budget moves: at least one road,
+/// the slot within [0, num_slots), every road within [0, num_roads).
+util::Status ValidateQuery(const QueryRequest& request, int num_slots,
+                           int num_roads);
+
+/// The outcome instruments every engine registers once in its registry:
+/// served / rejected / failed / shed queries, paid units, degraded roads
+/// (total and per DegradeReason) and end-to-end serve latency. It fills
+/// the matching EngineStats fields, so both engines count and report a
+/// query the same way.
+class ServeCounters {
+ public:
+  explicit ServeCounters(util::metrics::MetricsRegistry& registry);
+
+  /// Counts a query refused before any budget moved; returns `status`.
+  util::Status Reject(util::Status status);
+  /// Counts a query that died after its grant; `paid` is what the crowd
+  /// was really paid for it. Returns `status`.
+  util::Status Fail(util::Status status, int64_t paid = 0);
+  /// Counts an answered query: its payment, its degraded roads by reason,
+  /// and its serve latency.
+  void Served(const QueryResponse& response, double serve_millis);
+  /// Served(), plus the whole-query shed count of a periodic-fallback
+  /// answer.
+  void Shed(const QueryResponse& response, double serve_millis);
+
+  /// Copies the counts and the serve-latency snapshot into `stats`.
+  void Fill(EngineStats& stats) const;
+
+ private:
+  util::metrics::Counter* served_;
+  util::metrics::Counter* rejected_;
+  util::metrics::Counter* failed_;
+  util::metrics::Counter* paid_units_;
+  util::metrics::Counter* shed_;
+  util::metrics::Counter* roads_degraded_;
+  util::metrics::Counter* degraded_deadline_;
+  util::metrics::Counter* degraded_outlier_;
+  util::metrics::Counter* degraded_unstaffed_;
+  util::metrics::Counter* degraded_load_shed_;
+  util::metrics::LatencyHistogram* serve_latency_;
+};
+
+/// The drain gate: admits serves until Drain(), then refuses them and
+/// waits for the admitted ones to finish.
+class ServeGate {
+ public:
+  /// One admitted serve, released when it goes out of scope. Converts to
+  /// false when the gate was already draining (nothing to release).
+  class Admission {
+   public:
+    explicit Admission(ServeGate& gate)
+        : gate_(gate), admitted_(gate.Enter()) {}
+    ~Admission() {
+      if (admitted_) gate_.Exit();
+    }
+    Admission(const Admission&) = delete;
+    Admission& operator=(const Admission&) = delete;
+    explicit operator bool() const { return admitted_; }
+
+   private:
+    ServeGate& gate_;
+    bool admitted_;
+  };
+
+  /// Refuses new admissions and blocks until every admitted serve has been
+  /// released. Idempotent.
+  void Drain();
+  bool draining() const { return draining_.load(std::memory_order_acquire); }
+
+ private:
+  bool Enter();
+  void Exit();
+
+  std::atomic<bool> draining_{false};
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int64_t in_flight_ = 0;
 };
 
 /// The serving surface the front-end binds to. QueryEngine implements it

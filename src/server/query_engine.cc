@@ -38,40 +38,12 @@ QueryEngine::QueryEngine(core::CrowdRtse& system, WorkerRegistry& registry,
                    PoolSizeOrDefault(options.propagator_pool_size)),
       traces_(util::trace::TraceCollector::Options{
           options.trace_ring_size, options.trace_slow_log_size}),
-      profiler_(&metrics_,
-                obs::StageProfiler::Options{options.profile_sample_rate}) {
+      profiler_(&metrics_),
+      counters_(metrics_) {
   RegisterInstruments();
 }
 
 void QueryEngine::RegisterInstruments() {
-  queries_served_ = &metrics_.GetCounter(
-      "crowdrtse_queries_served_total", "queries answered successfully");
-  queries_rejected_ = &metrics_.GetCounter(
-      "crowdrtse_queries_rejected_total",
-      "queries refused up front (bad request or campaign budget dry)");
-  queries_failed_ = &metrics_.GetCounter(
-      "crowdrtse_queries_failed_total",
-      "queries that died mid-pipeline after their budget grant");
-  paid_units_ = &metrics_.GetCounter("crowdrtse_paid_units_total",
-                                      "answer-units paid to the crowd");
-  roads_degraded_ = &metrics_.GetCounter(
-      "crowdrtse_roads_degraded_total",
-      "selected roads that fell down the degradation ladder");
-  degraded_deadline_ = &metrics_.GetCounter(
-      "crowdrtse_degraded_deadline_total",
-      "roads degraded because every attempt dropped out or timed out");
-  degraded_outlier_ = &metrics_.GetCounter(
-      "crowdrtse_degraded_outlier_total",
-      "roads degraded because all answers were rejected as implausible");
-  degraded_unstaffed_ = &metrics_.GetCounter(
-      "crowdrtse_degraded_unstaffed_total",
-      "roads degraded because no worker was there to ask");
-  degraded_load_shed_ = &metrics_.GetCounter(
-      "crowdrtse_degraded_load_shed_total",
-      "roads answered from the periodic fallback by admission shedding");
-  queries_shed_ = &metrics_.GetCounter(
-      "crowdrtse_queries_shed_total",
-      "queries answered entirely from the periodic fallback");
   crowd_retries_ = &metrics_.GetCounter(
       "crowdrtse_dispatch_retries_total",
       "re-dispatches after a failed crowd attempt");
@@ -89,14 +61,6 @@ void QueryEngine::RegisterInstruments() {
   reports_outlier_ = &metrics_.GetCounter(
       "crowdrtse_reports_outlier_total",
       "reports rejected by the plausibility window or MAD filter");
-  ocs_latency_ = &metrics_.GetHistogram("crowdrtse_ocs_latency_ms",
-                                         "OCS road-selection phase latency");
-  crowd_latency_ = &metrics_.GetHistogram(
-      "crowdrtse_crowd_latency_ms", "crowdsourcing round wall latency");
-  gsp_latency_ = &metrics_.GetHistogram("crowdrtse_gsp_latency_ms",
-                                         "GSP propagation phase latency");
-  serve_latency_ = &metrics_.GetHistogram(
-      "crowdrtse_serve_latency_ms", "end-to-end Serve latency (served only)");
 
   // Live component state surfaces as callback gauges, read at render time.
   metrics_.RegisterCallbackGauge(
@@ -133,78 +97,29 @@ void QueryEngine::RegisterInstruments() {
 
 QueryEngine::~QueryEngine() { Drain(); }
 
-bool QueryEngine::EnterServe() {
-  std::lock_guard<std::mutex> lock(drain_mutex_);
-  if (draining_.load(std::memory_order_acquire)) return false;
-  ++serves_in_flight_;
-  return true;
-}
-
-void QueryEngine::ExitServe() {
-  std::lock_guard<std::mutex> lock(drain_mutex_);
-  if (--serves_in_flight_ == 0) drain_cv_.notify_all();
-}
-
-void QueryEngine::Drain() {
-  std::unique_lock<std::mutex> lock(drain_mutex_);
-  draining_.store(true, std::memory_order_release);
-  drain_cv_.wait(lock, [this] { return serves_in_flight_ == 0; });
-}
-
-util::Status QueryEngine::ValidateRequest(
-    const QueryRequest& request, const traffic::DayMatrix& world) const {
-  if (request.queried.empty()) {
-    return util::Status::InvalidArgument("query has no roads");
-  }
-  // One bound governs the slot: the world being served. (Previously this
-  // also folded in the static kSlotsPerDay check with a message that hid
-  // the actual limit — confusing for worlds with fewer slots.)
-  if (request.slot < 0 || request.slot >= world.num_slots()) {
-    return util::Status::InvalidArgument(
-        "slot out of range: " + std::to_string(request.slot) +
-        " not in [0, " + std::to_string(world.num_slots()) + ")");
-  }
-  const int num_roads = system_.graph().num_roads();
-  for (graph::RoadId r : request.queried) {
-    if (r < 0 || r >= num_roads) {
-      return util::Status::InvalidArgument(
-          "queried road out of range: " + std::to_string(r) + " not in [0, " +
-          std::to_string(num_roads) + ")");
-    }
-  }
-  return util::Status::Ok();
-}
-
-util::Status QueryEngine::RejectQuery(const util::Status& status) {
-  queries_rejected_->Increment();
-  return status;
-}
+void QueryEngine::Drain() { gate_.Drain(); }
 
 util::Status QueryEngine::FailQuery(int64_t query_id, int granted, int paid,
                                     const util::Status& status) {
   // The crowd (if it ran) was really paid: that spend must not vanish from
   // the campaign accounting just because a later phase failed.
   (void)ledger_.Settle(query_id, granted, paid);
-  queries_failed_->Increment();
-  paid_units_->Increment(paid);
-  return status;
+  return counters_.Fail(status, paid);
 }
 
 util::Result<QueryResponse> QueryEngine::Serve(
     const QueryRequest& request, const traffic::DayMatrix& world) {
   util::Timer serve_timer;
-  if (!EnterServe()) {
-    return RejectQuery(util::Status::FailedPrecondition(
+  const ServeGate::Admission admission(gate_);
+  if (!admission) {
+    return counters_.Reject(util::Status::FailedPrecondition(
         "engine draining: no new queries admitted"));
   }
-  struct GateExit {
-    QueryEngine* engine;
-    ~GateExit() { engine->ExitServe(); }
-  } gate_exit{this};
   // Validate the request up front — before any budget is granted and any
   // worker paid, so a malformed query cannot leak campaign spend.
-  const util::Status valid = ValidateRequest(request, world);
-  if (!valid.ok()) return RejectQuery(valid);
+  const util::Status valid = ValidateQuery(request, world.num_slots(),
+                                           system_.graph().num_roads());
+  if (!valid.ok()) return counters_.Reject(valid);
   std::vector<graph::RoadId> queried = request.queried;
   std::sort(queried.begin(), queried.end());
   queried.erase(std::unique(queried.begin(), queried.end()), queried.end());
@@ -241,8 +156,8 @@ util::Result<QueryResponse> QueryEngine::Serve(
   std::optional<util::trace::ScopedTrace> scoped;
   if (trace) scoped.emplace(trace.get());
   // Stage profiling mirrors the trace adoption: an ambient scope (the
-  // router's) wins, otherwise this engine's own profiler samples by local
-  // query id (no-op scope when unsampled or the rate is 0).
+  // router's) wins, otherwise this engine's own profiler records under the
+  // local query id.
   std::optional<obs::ScopedProfile> profile;
   if (obs::ActiveProfiler() == nullptr) profile.emplace(&profiler_, query_id);
   util::trace::Span serve_span("serve");
@@ -252,7 +167,7 @@ util::Result<QueryResponse> QueryEngine::Serve(
   const int budget = ledger_.Reserve(query_id);
   if (budget <= 0) {
     serve_span.Annotate("outcome", "budget_denied");
-    return RejectQuery(util::Status::FailedPrecondition(
+    return counters_.Reject(util::Status::FailedPrecondition(
         "campaign budget exhausted: " + ledger_.Report()));
   }
   // Admission control's first shed rung: a capped query probes fewer roads.
@@ -271,7 +186,7 @@ util::Result<QueryResponse> QueryEngine::Serve(
   // only gain within C hops of the query, the candidates are the covered
   // roads of the query's C-hop ball — one BFS of the ball, no pass over the
   // map; otherwise (the dense paper world) every covered road.
-  util::Timer timer;
+  obs::StageTimer ocs_stage(obs::Stage::kOcsSelect);
   std::vector<graph::RoadId> worker_roads;
   if (system_.BallScopedSelection()) {
     const std::vector<graph::RoadId> ball = graph::RoadsWithinHops(
@@ -287,7 +202,6 @@ util::Result<QueryResponse> QueryEngine::Serve(
     util::trace::Span ocs_span("ocs");
     ocs_span.Annotate("worker_roads",
                       static_cast<int64_t>(worker_roads.size()));
-    obs::StageTimer stage(obs::Stage::kOcsSelect);
     util::Result<ocs::OcsSolution> solved = system_.SelectRoads(
         request.slot, queried, worker_roads, costs_, spend_budget,
         request.selector);
@@ -303,8 +217,7 @@ util::Result<QueryResponse> QueryEngine::Serve(
     serve_span.Annotate("outcome", "failed_ocs");
     return FailQuery(query_id, budget, 0, selection.status());
   }
-  response.ocs_millis = timer.ElapsedMillis();
-  ocs_latency_->Record(response.ocs_millis);
+  ocs_stage.Stop();
 
   // Step 2 — crowdsourcing round: assign concrete workers to the selected
   // roads, then collect; both read the registry's index (the selected
@@ -313,8 +226,9 @@ util::Result<QueryResponse> QueryEngine::Serve(
   // path: the dispatch controller drives the round under deadlines,
   // retry/backoff, straggler reassignment and report rejection; roads whose
   // probes all fail come back degraded, not as errors. The simulator's RNG
-  // is stateful, so either way this phase runs one query at a time.
-  timer.Reset();
+  // is stateful, so either way this phase runs one query at a time. The
+  // stage's wall time includes the wait for that lock; its CPU time not.
+  obs::StageTimer crowd_stage(obs::Stage::kCrowdDispatch);
   for (graph::RoadId road : selection->roads) {
     response.work.workers_read += registry_.CountOn(road);
   }
@@ -323,7 +237,6 @@ util::Result<QueryResponse> QueryEngine::Serve(
   util::Result<crowd::CrowdRound> round = [&] {
     std::lock_guard<std::mutex> lock(crowd_mutex_);
     util::trace::Span crowd_span("crowd");
-    obs::StageTimer stage(obs::Stage::kCrowdDispatch);
     util::Result<crowd::AssignmentPlan> plan = [&] {
       util::trace::Span assign_span("crowd.assign");
       util::Result<crowd::AssignmentPlan> assigned =
@@ -365,14 +278,14 @@ util::Result<QueryResponse> QueryEngine::Serve(
     serve_span.Annotate("outcome", "failed_crowd");
     return FailQuery(query_id, budget, 0, round.status());
   }
-  response.crowd_millis = timer.ElapsedMillis();
-  crowd_latency_->Record(response.crowd_millis);
+  crowd_stage.Stop();
   response.paid = round->total_paid;
 
   // Step 3 — GSP over the roads that actually produced answers, read at
   // the queried roads only: the propagation touches the probes' H-ball.
-  // Leasing a propagator bounds how many GSP phases run at once.
-  timer.Reset();
+  // Leasing a propagator bounds how many GSP phases run at once; the
+  // stage's time includes the wait for the lease.
+  obs::StageTimer gsp_stage(obs::Stage::kGspSweep);
   std::vector<double> probed;
   probed.reserve(round->probes.size());
   for (const crowd::ProbeResult& p : round->probes) {
@@ -390,7 +303,6 @@ util::Result<QueryResponse> QueryEngine::Serve(
       return propagators_.Acquire();
     }();
     util::trace::Span propagate_span("gsp.propagate");
-    obs::StageTimer stage(obs::Stage::kGspSweep);
     util::Result<gsp::GspReadout> propagated = propagator->PropagateAt(
         request.slot, response.probed_roads, probed, request.queried);
     if (propagated.ok()) {
@@ -403,8 +315,7 @@ util::Result<QueryResponse> QueryEngine::Serve(
     serve_span.Annotate("outcome", "failed_gsp");
     return FailQuery(query_id, budget, response.paid, estimate.status());
   }
-  response.gsp_millis = timer.ElapsedMillis();
-  gsp_latency_->Record(response.gsp_millis);
+  gsp_stage.Stop();
   response.gsp_sweeps = estimate->sweeps;
   response.work.gsp_roads_relaxed = estimate->relaxed;
   response.queried_speeds = std::move(estimate->speeds);
@@ -450,33 +361,10 @@ util::Result<QueryResponse> QueryEngine::Serve(
   }();
   if (!settled.ok()) {
     serve_span.Annotate("outcome", "failed_settle");
-    queries_failed_->Increment();
-    return settled;
+    return counters_.Fail(settled);
   }
-  serve_latency_->Record(serve_timer.ElapsedMillis());
-  queries_served_->Increment();
-  paid_units_->Increment(response.paid);
+  counters_.Served(response, serve_timer.ElapsedMillis());
   if (options_.fault_tolerant_dispatch) {
-    roads_degraded_->Increment(
-        static_cast<int64_t>(response.degraded_roads.size()));
-    for (crowd::DegradeReason reason : response.degraded_reasons) {
-      switch (reason) {
-        case crowd::DegradeReason::kDeadline:
-          degraded_deadline_->Increment();
-          break;
-        case crowd::DegradeReason::kOutlier:
-          degraded_outlier_->Increment();
-          break;
-        case crowd::DegradeReason::kUnstaffed:
-          degraded_unstaffed_->Increment();
-          break;
-        case crowd::DegradeReason::kLoadShed:
-          // Dispatch never produces this reason; shed accounting happens in
-          // ServePeriodicFallback.
-          degraded_load_shed_->Increment();
-          break;
-      }
-    }
     crowd_retries_->Increment(dispatch_stats.retries);
     crowd_reassignments_->Increment(dispatch_stats.reassignments);
     crowd_deadline_misses_->Increment(dispatch_stats.deadline_misses);
@@ -494,16 +382,14 @@ util::Result<QueryResponse> QueryEngine::Serve(
 util::Result<QueryResponse> QueryEngine::ServePeriodicFallback(
     const QueryRequest& request, const traffic::DayMatrix& world) {
   util::Timer serve_timer;
-  if (!EnterServe()) {
-    return RejectQuery(util::Status::FailedPrecondition(
+  const ServeGate::Admission admission(gate_);
+  if (!admission) {
+    return counters_.Reject(util::Status::FailedPrecondition(
         "engine draining: no new queries admitted"));
   }
-  struct GateExit {
-    QueryEngine* engine;
-    ~GateExit() { engine->ExitServe(); }
-  } gate_exit{this};
-  const util::Status valid = ValidateRequest(request, world);
-  if (!valid.ok()) return RejectQuery(valid);
+  const util::Status valid = ValidateQuery(request, world.num_slots(),
+                                           system_.graph().num_roads());
+  if (!valid.ok()) return counters_.Reject(valid);
 
   const int64_t query_id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed);
@@ -528,44 +414,22 @@ util::Result<QueryResponse> QueryEngine::ServePeriodicFallback(
   util::Result<std::vector<double>> variances = gsp::DegradedAwareVariances(
       system_.model(), request.slot, request.queried, /*sampled_roads=*/{},
       response.degraded_roads, options_.degraded_variance_inflation);
-  if (!variances.ok()) {
-    queries_failed_->Increment();
-    return variances.status();
-  }
+  if (!variances.ok()) return counters_.Fail(variances.status());
   response.queried_variances = std::move(*variances);
 
-  serve_latency_->Record(serve_timer.ElapsedMillis());
-  queries_served_->Increment();
-  queries_shed_->Increment();
-  roads_degraded_->Increment(
-      static_cast<int64_t>(response.degraded_roads.size()));
-  degraded_load_shed_->Increment(
-      static_cast<int64_t>(response.degraded_roads.size()));
+  counters_.Shed(response, serve_timer.ElapsedMillis());
   return response;
 }
 
 EngineStats QueryEngine::stats() const {
   EngineStats snapshot;
-  snapshot.queries_served = queries_served_->value();
-  snapshot.queries_rejected = queries_rejected_->value();
-  snapshot.queries_failed = queries_failed_->value();
-  snapshot.total_paid = paid_units_->value();
-  snapshot.roads_degraded = roads_degraded_->value();
-  snapshot.degraded_deadline = degraded_deadline_->value();
-  snapshot.degraded_outlier = degraded_outlier_->value();
-  snapshot.degraded_unstaffed = degraded_unstaffed_->value();
-  snapshot.degraded_load_shed = degraded_load_shed_->value();
-  snapshot.queries_shed = queries_shed_->value();
+  counters_.Fill(snapshot);
   snapshot.crowd_retries = crowd_retries_->value();
   snapshot.crowd_reassignments = crowd_reassignments_->value();
   snapshot.crowd_deadline_misses = crowd_deadline_misses_->value();
   snapshot.reports_late = reports_late_->value();
   snapshot.reports_duplicate = reports_duplicate_->value();
   snapshot.reports_outlier = reports_outlier_->value();
-  snapshot.ocs_latency = ocs_latency_->Snapshot();
-  snapshot.crowd_latency = crowd_latency_->Snapshot();
-  snapshot.gsp_latency = gsp_latency_->Snapshot();
-  snapshot.serve_latency = serve_latency_->Snapshot();
   snapshot.gamma_cache = system_.CorrelationCacheStats();
   return snapshot;
 }

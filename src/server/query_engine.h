@@ -2,7 +2,6 @@
 #define CROWDRTSE_SERVER_QUERY_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -23,10 +22,6 @@
 #include "util/trace.h"
 
 namespace crowdrtse::server {
-
-// QueryRequest / QueryResponse / EngineStats moved to server/engine.h so
-// every Engine implementation (QueryEngine, ShardedEngine) shares them.
-
 
 /// The online half of CrowdRTSE as a service (paper Fig. 1): receives
 /// queries, consults the worker registry for the current R^w, lets the
@@ -81,11 +76,6 @@ class QueryEngine : public Engine {
     /// slow-query log (top-N by serve latency).
     int trace_ring_size = 256;
     int trace_slow_log_size = 16;
-    /// Fraction of queries whose per-stage wall/CPU time feeds the
-    /// crowdrtse_stage_{wall,cpu}_ms{stage="..."} histograms (exemplar =
-    /// query id). Deterministic per query id, like trace_sample_rate;
-    /// 0 (default) disables the profiler entirely.
-    double profile_sample_rate = 0.0;
   };
 
   /// All dependencies are borrowed and must outlive the engine.
@@ -124,17 +114,16 @@ class QueryEngine : public Engine {
   void Drain() override;
 
   /// True once Drain() has been called.
-  bool draining() const override {
-    return draining_.load(std::memory_order_acquire);
-  }
+  bool draining() const override { return gate_.draining(); }
 
   /// Consistent snapshot of the rolling statistics (a thin view over the
   /// metrics registry).
   EngineStats stats() const override;
 
   /// The engine's named instruments — counters, gauges (gamma-cache bytes,
-  /// outstanding reservations, GSP leases in flight), and the per-phase
-  /// latency histograms. Render with RenderPrometheus() / RenderJson().
+  /// outstanding reservations, GSP leases in flight), the serve-latency
+  /// histogram and the per-stage wall/CPU histograms. Render with
+  /// RenderPrometheus() / RenderJson().
   const util::metrics::MetricsRegistry& metrics() const override {
     return metrics_;
   }
@@ -153,22 +142,13 @@ class QueryEngine : public Engine {
   }
 
  private:
-  /// Creates the registry instruments and caches pointers for the hot path.
+  /// Creates the dispatch counters and the callback gauges.
   void RegisterInstruments();
-  /// Admission side of Drain(): registers an in-flight query, or refuses
-  /// when draining. Every successful Enter is paired with one Exit.
-  bool EnterServe();
-  void ExitServe();
-  /// Validates request shape against `world` (roads in range, slot within
-  /// the world's slot count). Shared by Serve and ServePeriodicFallback.
-  util::Status ValidateRequest(const QueryRequest& request,
-                               const traffic::DayMatrix& world) const;
   /// Closes the books on a query that died mid-pipeline: settles whatever
   /// the crowd was actually paid (so real spend never leaks from the
   /// campaign accounting) and counts the failure. Returns `status`.
   util::Status FailQuery(int64_t query_id, int granted, int paid,
                          const util::Status& status);
-  util::Status RejectQuery(const util::Status& status);
 
   core::CrowdRtse& system_;
   WorkerRegistry& registry_;
@@ -182,11 +162,7 @@ class QueryEngine : public Engine {
   /// Serializes the stateful crowd simulator (see class comment).
   std::mutex crowd_mutex_;
 
-  /// Drain gate: queries in flight, and whether new ones are refused.
-  std::atomic<bool> draining_{false};
-  std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
-  int64_t serves_in_flight_ = 0;
+  ServeGate gate_;
 
   /// All rolling statistics live as named instruments in the registry
   /// (wait-free counters/histograms; callback gauges read live component
@@ -195,30 +171,17 @@ class QueryEngine : public Engine {
   /// anything up by name.
   util::metrics::MetricsRegistry metrics_;
   util::trace::TraceCollector traces_;
-  /// Sampling per-stage wall/CPU attribution into metrics_ (ambient scope:
-  /// when a sharded router already installed its own, Serve adopts it).
+  /// Per-stage wall/CPU attribution into metrics_ (ambient scope: when a
+  /// sharded router already installed its own, Serve adopts it).
   obs::StageProfiler profiler_;
-  util::metrics::Counter* queries_served_ = nullptr;
-  util::metrics::Counter* queries_rejected_ = nullptr;
-  util::metrics::Counter* queries_failed_ = nullptr;
-  util::metrics::Counter* paid_units_ = nullptr;
-  /// Degradation / dispatch accounting (fault-tolerant path only).
-  util::metrics::Counter* roads_degraded_ = nullptr;
-  util::metrics::Counter* degraded_deadline_ = nullptr;
-  util::metrics::Counter* degraded_outlier_ = nullptr;
-  util::metrics::Counter* degraded_unstaffed_ = nullptr;
-  util::metrics::Counter* degraded_load_shed_ = nullptr;
-  util::metrics::Counter* queries_shed_ = nullptr;
+  ServeCounters counters_;
+  /// Dispatch fault/retry accounting (fault-tolerant path only).
   util::metrics::Counter* crowd_retries_ = nullptr;
   util::metrics::Counter* crowd_reassignments_ = nullptr;
   util::metrics::Counter* crowd_deadline_misses_ = nullptr;
   util::metrics::Counter* reports_late_ = nullptr;
   util::metrics::Counter* reports_duplicate_ = nullptr;
   util::metrics::Counter* reports_outlier_ = nullptr;
-  util::metrics::LatencyHistogram* ocs_latency_ = nullptr;
-  util::metrics::LatencyHistogram* crowd_latency_ = nullptr;
-  util::metrics::LatencyHistogram* gsp_latency_ = nullptr;
-  util::metrics::LatencyHistogram* serve_latency_ = nullptr;
 };
 
 }  // namespace crowdrtse::server

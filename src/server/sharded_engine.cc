@@ -18,6 +18,118 @@ int FanoutThreadsOrDefault(int requested, int num_shards) {
   return std::min(num_shards, 8);
 }
 
+/// Groups the queried roads by owner shard: returns the owners in
+/// ascending order and fills `group_indices[s]` with the request positions
+/// of shard s's roads, so merged answers stay aligned.
+std::vector<int> GroupByOwner(const partition::Partition& partition,
+                              const QueryRequest& request,
+                              std::vector<std::vector<size_t>>& group_indices) {
+  group_indices.assign(static_cast<size_t>(partition.num_shards), {});
+  std::vector<int> owners;
+  for (size_t i = 0; i < request.queried.size(); ++i) {
+    const int s = partition.OwnerOf(request.queried[i]);
+    if (group_indices[static_cast<size_t>(s)].empty()) owners.push_back(s);
+    group_indices[static_cast<size_t>(s)].push_back(i);
+  }
+  std::sort(owners.begin(), owners.end());
+  return owners;
+}
+
+/// The roads of `request` at `indices`, in the shard's local ids.
+QueryRequest SubRequest(const partition::ShardLayout& layout,
+                        const QueryRequest& request,
+                        const std::vector<size_t>& indices, int budget_cap) {
+  QueryRequest sub;
+  sub.slot = request.slot;
+  sub.selector = request.selector;
+  sub.budget_cap = budget_cap;
+  sub.queried.reserve(indices.size());
+  for (size_t idx : indices) {
+    sub.queried.push_back(layout.LocalId(request.queried[idx]));
+  }
+  return sub;
+}
+
+/// One owner shard's share of a routed query: its sub-request, budget cap
+/// and the positions of its roads in the original request.
+struct GroupRun {
+  int shard = 0;
+  int cap = 0;
+  const std::vector<size_t>* indices = nullptr;
+  QueryRequest sub;
+  util::Status status = util::Status::Ok();
+  QueryResponse response;
+  bool ok = false;
+};
+
+/// Merges the (globalized) answers of a cross-shard query's groups: speeds
+/// (and variances when `merge_variances`) back at their request positions,
+/// probed/underfilled/degraded sets unioned, payments and work summed, the
+/// dispatch span and GSP sweeps at their maximum.
+QueryResponse MergeGroups(const QueryRequest& request,
+                          const std::vector<GroupRun>& runs,
+                          bool merge_variances) {
+  QueryResponse response;
+  response.queried_speeds.assign(request.queried.size(), 0.0);
+  if (merge_variances) {
+    response.queried_variances.assign(request.queried.size(), 0.0);
+  }
+  std::vector<std::pair<graph::RoadId, crowd::DegradeReason>> degraded;
+  for (const GroupRun& run : runs) {
+    for (size_t j = 0; j < run.indices->size(); ++j) {
+      const size_t idx = (*run.indices)[j];
+      response.queried_speeds[idx] = run.response.queried_speeds[j];
+      if (merge_variances && j < run.response.queried_variances.size()) {
+        response.queried_variances[idx] = run.response.queried_variances[j];
+      }
+    }
+    response.probed_roads.insert(response.probed_roads.end(),
+                                 run.response.probed_roads.begin(),
+                                 run.response.probed_roads.end());
+    response.underfilled_roads.insert(response.underfilled_roads.end(),
+                                      run.response.underfilled_roads.begin(),
+                                      run.response.underfilled_roads.end());
+    for (size_t d = 0; d < run.response.degraded_roads.size(); ++d) {
+      degraded.emplace_back(run.response.degraded_roads[d],
+                            d < run.response.degraded_reasons.size()
+                                ? run.response.degraded_reasons[d]
+                                : crowd::DegradeReason::kLoadShed);
+    }
+    response.paid += run.response.paid;
+    response.dispatch_span_ms =
+        std::max(response.dispatch_span_ms, run.response.dispatch_span_ms);
+    response.gsp_sweeps =
+        std::max(response.gsp_sweeps, run.response.gsp_sweeps);
+    response.work += run.response.work;
+  }
+  // Halo roads near a cut can be probed by two shards; the merged
+  // provenance reports each road once.
+  std::sort(response.probed_roads.begin(), response.probed_roads.end());
+  response.probed_roads.erase(std::unique(response.probed_roads.begin(),
+                                          response.probed_roads.end()),
+                              response.probed_roads.end());
+  std::sort(response.underfilled_roads.begin(),
+            response.underfilled_roads.end());
+  response.underfilled_roads.erase(
+      std::unique(response.underfilled_roads.begin(),
+                  response.underfilled_roads.end()),
+      response.underfilled_roads.end());
+  std::sort(degraded.begin(), degraded.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  degraded.erase(std::unique(degraded.begin(), degraded.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first == b.first;
+                             }),
+                 degraded.end());
+  response.degraded_roads.reserve(degraded.size());
+  response.degraded_reasons.reserve(degraded.size());
+  for (const auto& [road, reason] : degraded) {
+    response.degraded_roads.push_back(road);
+    response.degraded_reasons.push_back(reason);
+  }
+  return response;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -74,47 +186,11 @@ ShardedEngine::ShardedEngine(partition::Partition partition,
       options_(options),
       traces_(util::trace::TraceCollector::Options{
           options.engine.trace_ring_size, options.engine.trace_slow_log_size}),
-      profiler_(&metrics_, obs::StageProfiler::Options{
-                               options.engine.profile_sample_rate}) {
-  queries_served_ = &metrics_.GetCounter(
-      "crowdrtse_queries_served_total", "queries answered successfully");
-  queries_rejected_ = &metrics_.GetCounter(
-      "crowdrtse_queries_rejected_total",
-      "queries refused up front (bad request or campaign budget dry)");
-  queries_failed_ = &metrics_.GetCounter(
-      "crowdrtse_queries_failed_total",
-      "queries that died mid-pipeline after their budget grant");
-  paid_units_ = &metrics_.GetCounter("crowdrtse_paid_units_total",
-                                     "answer-units paid to the crowd");
-  queries_shed_ = &metrics_.GetCounter(
-      "crowdrtse_queries_shed_total",
-      "queries answered entirely from the periodic fallback");
-  roads_degraded_ = &metrics_.GetCounter(
-      "crowdrtse_roads_degraded_total",
-      "selected roads that fell down the degradation ladder");
-  degraded_deadline_ = &metrics_.GetCounter(
-      "crowdrtse_degraded_deadline_total",
-      "roads degraded because every attempt dropped out or timed out");
-  degraded_outlier_ = &metrics_.GetCounter(
-      "crowdrtse_degraded_outlier_total",
-      "roads degraded because all answers were rejected as implausible");
-  degraded_unstaffed_ = &metrics_.GetCounter(
-      "crowdrtse_degraded_unstaffed_total",
-      "roads degraded because no worker was there to ask");
-  degraded_load_shed_ = &metrics_.GetCounter(
-      "crowdrtse_degraded_load_shed_total",
-      "roads answered from the periodic fallback by admission shedding");
+      profiler_(&metrics_),
+      counters_(metrics_) {
   queries_cross_shard_ = &metrics_.GetCounter(
       "crowdrtse_queries_cross_shard_total",
       "queries whose roads spanned more than one owner shard");
-  ocs_latency_ = &metrics_.GetHistogram("crowdrtse_ocs_latency_ms",
-                                        "OCS road-selection phase latency");
-  crowd_latency_ = &metrics_.GetHistogram(
-      "crowdrtse_crowd_latency_ms", "crowdsourcing round wall latency");
-  gsp_latency_ = &metrics_.GetHistogram("crowdrtse_gsp_latency_ms",
-                                        "GSP propagation phase latency");
-  serve_latency_ = &metrics_.GetHistogram(
-      "crowdrtse_serve_latency_ms", "end-to-end Serve latency (served only)");
   metrics_.RegisterCallbackGauge(
       "crowdrtse_ledger_reserved_outstanding",
       "budget units earmarked by in-flight reservations",
@@ -215,11 +291,10 @@ util::Status ShardedEngine::BuildShard(
       util::Rng(options.crowd_seed + static_cast<uint64_t>(shard_index)));
   // The router owns trace sampling and stage profiling for sharded
   // serving: sub-engines adopt the ambient scopes it installs around each
-  // sub-serve. Their own samplers are zeroed so a cross-shard query cannot
+  // sub-serve. Their trace sampler is zeroed so a cross-shard query cannot
   // also collect K disconnected per-shard traces under local query ids.
   QueryEngine::Options sub_options = options.engine;
   sub_options.trace_sample_rate = 0.0;
-  sub_options.profile_sample_rate = 0.0;
   shard.engine = std::make_unique<QueryEngine>(
       *shard.system, *shard.registry, *shard.ledger, shard.costs,
       *shard.crowd_sim, sub_options);
@@ -328,47 +403,21 @@ ShardedEngine::~ShardedEngine() { Drain(); }
 // ---------------------------------------------------------------------------
 // Serving
 
-bool ShardedEngine::EnterServe() {
-  std::lock_guard<std::mutex> lock(drain_mutex_);
-  if (draining_.load(std::memory_order_acquire)) return false;
-  ++serves_in_flight_;
-  return true;
-}
-
-void ShardedEngine::ExitServe() {
-  std::lock_guard<std::mutex> lock(drain_mutex_);
-  if (--serves_in_flight_ == 0) drain_cv_.notify_all();
-}
-
 void ShardedEngine::Drain() {
-  {
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    draining_.store(true, std::memory_order_release);
-    drain_cv_.wait(lock, [this] { return serves_in_flight_ == 0; });
-  }
+  gate_.Drain();
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->engine) shard->engine->Drain();
   }
 }
 
-util::Status ShardedEngine::ValidateRequest(
-    const QueryRequest& request) const {
-  if (request.queried.empty()) {
-    return util::Status::InvalidArgument("query has no roads");
-  }
-  if (request.slot < 0 || request.slot >= world_->num_slots()) {
+util::Status ShardedEngine::CheckRequest(
+    const QueryRequest& request, const traffic::DayMatrix& world) const {
+  if (&world != world_) {
     return util::Status::InvalidArgument(
-        "slot out of range: " + std::to_string(request.slot) +
-        " not in [0, " + std::to_string(world_->num_slots()) + ")");
+        "sharded engine can only serve the world its shards were "
+        "projected from");
   }
-  for (graph::RoadId r : request.queried) {
-    if (r < 0 || r >= partition_.num_roads) {
-      return util::Status::InvalidArgument(
-          "queried road out of range: " + std::to_string(r) +
-          " not in [0, " + std::to_string(partition_.num_roads) + ")");
-    }
-  }
-  return util::Status::Ok();
+  return ValidateQuery(request, world_->num_slots(), partition_.num_roads);
 }
 
 void ShardedEngine::GlobalizeResponse(const Shard& shard,
@@ -385,58 +434,16 @@ void ShardedEngine::GlobalizeResponse(const Shard& shard,
   to_global(response.degraded_roads);
 }
 
-void ShardedEngine::RecordServed(const QueryResponse& response,
-                                 double serve_millis) {
-  queries_served_->Increment();
-  paid_units_->Increment(response.paid);
-  ocs_latency_->Record(response.ocs_millis);
-  crowd_latency_->Record(response.crowd_millis);
-  gsp_latency_->Record(response.gsp_millis);
-  serve_latency_->Record(serve_millis);
-  roads_degraded_->Increment(
-      static_cast<int64_t>(response.degraded_roads.size()));
-  for (crowd::DegradeReason reason : response.degraded_reasons) {
-    switch (reason) {
-      case crowd::DegradeReason::kDeadline:
-        degraded_deadline_->Increment();
-        break;
-      case crowd::DegradeReason::kOutlier:
-        degraded_outlier_->Increment();
-        break;
-      case crowd::DegradeReason::kUnstaffed:
-        degraded_unstaffed_->Increment();
-        break;
-      case crowd::DegradeReason::kLoadShed:
-        degraded_load_shed_->Increment();
-        break;
-    }
-  }
-}
-
 util::Result<QueryResponse> ShardedEngine::Serve(
     const QueryRequest& request, const traffic::DayMatrix& world) {
   util::Timer serve_timer;
-  if (!EnterServe()) {
-    queries_rejected_->Increment();
-    return util::Status::FailedPrecondition(
-        "engine draining: no new queries admitted");
+  const ServeGate::Admission admission(gate_);
+  if (!admission) {
+    return counters_.Reject(util::Status::FailedPrecondition(
+        "engine draining: no new queries admitted"));
   }
-  struct GateExit {
-    ShardedEngine* engine;
-    ~GateExit() { engine->ExitServe(); }
-  } gate_exit{this};
-
-  if (&world != world_) {
-    queries_rejected_->Increment();
-    return util::Status::InvalidArgument(
-        "sharded engine can only serve the world its shards were "
-        "projected from");
-  }
-  const util::Status valid = ValidateRequest(request);
-  if (!valid.ok()) {
-    queries_rejected_->Increment();
-    return valid;
-  }
+  const util::Status valid = CheckRequest(request, world);
+  if (!valid.ok()) return counters_.Reject(valid);
 
   const int64_t query_id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed);
@@ -468,78 +475,31 @@ util::Result<QueryResponse> ShardedEngine::Serve(
                       static_cast<int64_t>(request.queried.size()));
   const int64_t root_span = util::trace::ActiveSpanId();
   // Stage profiling aggregates under the router's query id across every
-  // shard (no-op scope when unsampled).
+  // shard.
   obs::ScopedProfile profile(&profiler_, query_id);
 
   const int granted = ledger_.Reserve(query_id);
   if (granted <= 0) {
-    queries_rejected_->Increment();
     serve_span.Annotate("outcome", "budget_denied");
-    return util::Status::FailedPrecondition(
-        "campaign budget exhausted: " + ledger_.Report());
+    return counters_.Reject(util::Status::FailedPrecondition(
+        "campaign budget exhausted: " + ledger_.Report()));
   }
   const int spend_budget =
       request.budget_cap > 0 ? std::min(granted, request.budget_cap)
                              : granted;
 
-  // Group queried roads by owner shard, remembering each road's position
-  // in the original request so merged speeds stay aligned.
-  std::vector<std::vector<size_t>> group_indices(shards_.size());
-  std::vector<int> owners;  // shards with at least one queried road
-  for (size_t i = 0; i < request.queried.size(); ++i) {
-    const int s = partition_.OwnerOf(request.queried[i]);
-    if (group_indices[static_cast<size_t>(s)].empty()) owners.push_back(s);
-    group_indices[static_cast<size_t>(s)].push_back(i);
-  }
-  std::sort(owners.begin(), owners.end());
+  std::vector<std::vector<size_t>> group_indices;
+  const std::vector<int> owners =
+      GroupByOwner(partition_, request, group_indices);
 
-  // --- Single-owner fast path: the whole query runs inline on the owner
-  // shard with the full spend budget — the common, exactness-bearing case.
-  if (owners.size() == 1) {
-    Shard& shard = *shards_[static_cast<size_t>(owners[0])];
-    QueryRequest sub;
-    sub.slot = request.slot;
-    sub.selector = request.selector;
-    sub.budget_cap = spend_budget;
-    sub.queried.reserve(request.queried.size());
-    for (graph::RoadId r : request.queried) {
-      sub.queried.push_back(shard.layout.LocalId(r));
-    }
-    util::Result<QueryResponse> served = [&] {
-      util::trace::Span shard_span("shard");
-      shard_span.Annotate("shard", static_cast<int64_t>(owners[0]));
-      obs::ScopedShard shard_scope(owners[0]);
-      return shard.engine->Serve(sub, shard.world);
-    }();
-    if (!served.ok()) {
-      (void)ledger_.Settle(query_id, granted, 0);
-      queries_failed_->Increment();
-      serve_span.Annotate("outcome", "failed_shard");
-      return served.status();
-    }
-    QueryResponse response = std::move(*served);
-    GlobalizeResponse(shard, response);
-    response.query_id = query_id;
-    response.granted_budget = granted;
-    const util::Status settled =
-        ledger_.Settle(query_id, granted, response.paid);
-    if (!settled.ok()) {
-      queries_failed_->Increment();
-      serve_span.Annotate("outcome", "failed_settle");
-      return settled;
-    }
-    RecordServed(response, serve_timer.ElapsedMillis());
-    serve_span.Annotate("paid", static_cast<int64_t>(response.paid));
-    serve_span.Annotate("outcome", "served");
-    serve_span.End();
-    if (trace) response.trace_summary = util::trace::Summarize(*trace);
-    return response;
+  // A single-owner query — the common, exactness-bearing case — is one
+  // group with the full spend budget, run inline on the calling thread.
+  const bool cross_shard = owners.size() > 1;
+  if (cross_shard) {
+    queries_cross_shard_->Increment();
+    obs::RecordEvent(obs::EventKind::kShardSplit, query_id,
+                     static_cast<int64_t>(owners.size()), spend_budget);
   }
-
-  // --- Multi-owner: split per owner, fan out, merge.
-  queries_cross_shard_->Increment();
-  obs::RecordEvent(obs::EventKind::kShardSplit, query_id,
-                   static_cast<int64_t>(owners.size()), spend_budget);
 
   // Largest-remainder proportional budget split over group sizes; the
   // caps sum exactly to spend_budget. A group whose cap rounds to zero
@@ -563,44 +523,26 @@ util::Result<QueryResponse> ShardedEngine::Serve(
     }
   }
 
-  struct GroupRun {
-    int shard = 0;
-    int cap = 0;
-    const std::vector<size_t>* indices = nullptr;
-    QueryRequest sub;
-    util::Status status = util::Status::Ok();
-    QueryResponse response;
-    bool ok = false;
-  };
   std::vector<GroupRun> runs(owners.size());
   for (size_t g = 0; g < owners.size(); ++g) {
     GroupRun& run = runs[g];
     run.shard = owners[g];
     run.cap = caps[g];
     run.indices = &group_indices[static_cast<size_t>(owners[g])];
-    run.sub.slot = request.slot;
-    run.sub.selector = request.selector;
-    run.sub.budget_cap = run.cap;
-    run.sub.queried.reserve(run.indices->size());
-    const Shard& shard = *shards_[static_cast<size_t>(run.shard)];
-    for (size_t idx : *run.indices) {
-      run.sub.queried.push_back(shard.layout.LocalId(request.queried[idx]));
-    }
+    run.sub = SubRequest(shards_[static_cast<size_t>(run.shard)]->layout,
+                         request, *run.indices, run.cap);
   }
 
   const auto run_group = [this, &trace, root_span, query_id](GroupRun& run) {
     // A fan-out pool thread carries no ambient trace/profile scope:
     // install the router's, parenting this thread's spans under the root
     // "serve" span so the per-shard subtree stitches into one tree. The
-    // calling thread (which runs the last group) already carries both.
+    // calling thread (which runs the last group) already carries the trace.
     std::optional<util::trace::ScopedTrace> adopt;
     if (trace && util::trace::ActiveTrace() != trace.get()) {
       adopt.emplace(trace.get(), root_span);
     }
-    std::optional<obs::ScopedProfile> profile_scope;
-    if (obs::ActiveProfiler() == nullptr) {
-      profile_scope.emplace(&profiler_, query_id);
-    }
+    obs::ScopedProfile profile_scope(&profiler_, query_id);
     util::trace::Span shard_span("shard");
     shard_span.Annotate("shard", static_cast<int64_t>(run.shard));
     shard_span.Annotate("cap", static_cast<int64_t>(run.cap));
@@ -647,93 +589,35 @@ util::Result<QueryResponse> ShardedEngine::Serve(
       // The groups that did run were really paid; the failed group settled
       // its own spend against its shard ledger before reporting.
       (void)ledger_.Settle(query_id, granted, total_paid);
-      paid_units_->Increment(total_paid);
-      queries_failed_->Increment();
       serve_span.Annotate("outcome", "failed_shard");
-      return run.status;
+      return counters_.Fail(run.status, total_paid);
     }
   }
 
-  util::trace::Span merge_span("merge");
-  merge_span.Annotate("owners", static_cast<int64_t>(owners.size()));
-  obs::StageTimer merge_timer(obs::Stage::kMerge);
   QueryResponse response;
+  if (cross_shard) {
+    util::trace::Span merge_span("merge");
+    merge_span.Annotate("owners", static_cast<int64_t>(owners.size()));
+    obs::StageTimer merge_timer(obs::Stage::kMerge);
+    response = MergeGroups(request, runs,
+                           options_.engine.fault_tolerant_dispatch);
+    merge_timer.Stop();
+    merge_span.End();
+    obs::RecordEvent(obs::EventKind::kShardMerge, query_id, total_paid,
+                     static_cast<int64_t>(owners.size()));
+  } else {
+    response = std::move(runs[0].response);
+  }
   response.query_id = query_id;
   response.granted_budget = granted;
-  response.paid = total_paid;
-  response.queried_speeds.assign(request.queried.size(), 0.0);
-  const bool merge_variances = options_.engine.fault_tolerant_dispatch;
-  if (merge_variances) {
-    response.queried_variances.assign(request.queried.size(), 0.0);
-  }
-  std::vector<std::pair<graph::RoadId, crowd::DegradeReason>> degraded;
-  for (const GroupRun& run : runs) {
-    for (size_t j = 0; j < run.indices->size(); ++j) {
-      const size_t idx = (*run.indices)[j];
-      response.queried_speeds[idx] = run.response.queried_speeds[j];
-      if (merge_variances && j < run.response.queried_variances.size()) {
-        response.queried_variances[idx] = run.response.queried_variances[j];
-      }
-    }
-    response.probed_roads.insert(response.probed_roads.end(),
-                                 run.response.probed_roads.begin(),
-                                 run.response.probed_roads.end());
-    response.underfilled_roads.insert(response.underfilled_roads.end(),
-                                      run.response.underfilled_roads.begin(),
-                                      run.response.underfilled_roads.end());
-    for (size_t d = 0; d < run.response.degraded_roads.size(); ++d) {
-      degraded.emplace_back(run.response.degraded_roads[d],
-                            d < run.response.degraded_reasons.size()
-                                ? run.response.degraded_reasons[d]
-                                : crowd::DegradeReason::kLoadShed);
-    }
-    response.ocs_millis += run.response.ocs_millis;
-    response.crowd_millis += run.response.crowd_millis;
-    response.gsp_millis += run.response.gsp_millis;
-    response.dispatch_span_ms =
-        std::max(response.dispatch_span_ms, run.response.dispatch_span_ms);
-    response.gsp_sweeps =
-        std::max(response.gsp_sweeps, run.response.gsp_sweeps);
-    response.work += run.response.work;
-  }
-  // Halo roads near a cut can be probed by two shards; the merged
-  // provenance reports each road once.
-  std::sort(response.probed_roads.begin(), response.probed_roads.end());
-  response.probed_roads.erase(std::unique(response.probed_roads.begin(),
-                                          response.probed_roads.end()),
-                              response.probed_roads.end());
-  std::sort(response.underfilled_roads.begin(),
-            response.underfilled_roads.end());
-  response.underfilled_roads.erase(
-      std::unique(response.underfilled_roads.begin(),
-                  response.underfilled_roads.end()),
-      response.underfilled_roads.end());
-  std::sort(degraded.begin(), degraded.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  degraded.erase(std::unique(degraded.begin(), degraded.end(),
-                             [](const auto& a, const auto& b) {
-                               return a.first == b.first;
-                             }),
-                 degraded.end());
-  response.degraded_roads.reserve(degraded.size());
-  response.degraded_reasons.reserve(degraded.size());
-  for (const auto& [road, reason] : degraded) {
-    response.degraded_roads.push_back(road);
-    response.degraded_reasons.push_back(reason);
-  }
-  merge_timer.Stop();
-  merge_span.End();
-  obs::RecordEvent(obs::EventKind::kShardMerge, query_id, total_paid,
-                   static_cast<int64_t>(owners.size()));
 
   const util::Status settled =
       ledger_.Settle(query_id, granted, response.paid);
   if (!settled.ok()) {
-    queries_failed_->Increment();
     serve_span.Annotate("outcome", "failed_settle");
-    return settled;
+    return counters_.Fail(settled);
   }
-  RecordServed(response, serve_timer.ElapsedMillis());
+  counters_.Served(response, serve_timer.ElapsedMillis());
   serve_span.Annotate("paid", static_cast<int64_t>(response.paid));
   serve_span.Annotate("outcome", "served");
   serve_span.End();
@@ -744,86 +628,34 @@ util::Result<QueryResponse> ShardedEngine::Serve(
 util::Result<QueryResponse> ShardedEngine::ServePeriodicFallback(
     const QueryRequest& request, const traffic::DayMatrix& world) {
   util::Timer serve_timer;
-  if (!EnterServe()) {
-    queries_rejected_->Increment();
-    return util::Status::FailedPrecondition(
-        "engine draining: no new queries admitted");
+  const ServeGate::Admission admission(gate_);
+  if (!admission) {
+    return counters_.Reject(util::Status::FailedPrecondition(
+        "engine draining: no new queries admitted"));
   }
-  struct GateExit {
-    ShardedEngine* engine;
-    ~GateExit() { engine->ExitServe(); }
-  } gate_exit{this};
-
-  if (&world != world_) {
-    queries_rejected_->Increment();
-    return util::Status::InvalidArgument(
-        "sharded engine can only serve the world its shards were "
-        "projected from");
-  }
-  const util::Status valid = ValidateRequest(request);
-  if (!valid.ok()) {
-    queries_rejected_->Increment();
-    return valid;
-  }
+  const util::Status valid = CheckRequest(request, world);
+  if (!valid.ok()) return counters_.Reject(valid);
 
   const int64_t query_id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::vector<size_t>> group_indices(shards_.size());
-  std::vector<int> owners;
-  for (size_t i = 0; i < request.queried.size(); ++i) {
-    const int s = partition_.OwnerOf(request.queried[i]);
-    if (group_indices[static_cast<size_t>(s)].empty()) owners.push_back(s);
-    group_indices[static_cast<size_t>(s)].push_back(i);
-  }
-  std::sort(owners.begin(), owners.end());
+  std::vector<std::vector<size_t>> group_indices;
+  const std::vector<int> owners =
+      GroupByOwner(partition_, request, group_indices);
 
-  QueryResponse response;
+  std::vector<GroupRun> runs(owners.size());
+  for (size_t g = 0; g < owners.size(); ++g) {
+    Shard& shard = *shards_[static_cast<size_t>(owners[g])];
+    runs[g].indices = &group_indices[static_cast<size_t>(owners[g])];
+    util::Result<QueryResponse> served = shard.engine->ServePeriodicFallback(
+        SubRequest(shard.layout, request, *runs[g].indices, 0), shard.world);
+    if (!served.ok()) return counters_.Fail(served.status());
+    runs[g].response = std::move(*served);
+    GlobalizeResponse(shard, runs[g].response);
+  }
+  QueryResponse response =
+      MergeGroups(request, runs, /*merge_variances=*/true);
   response.query_id = query_id;
-  response.queried_speeds.assign(request.queried.size(), 0.0);
-  response.queried_variances.assign(request.queried.size(), 0.0);
-  std::vector<graph::RoadId> degraded;
-  for (const int s : owners) {
-    Shard& shard = *shards_[static_cast<size_t>(s)];
-    const std::vector<size_t>& indices =
-        group_indices[static_cast<size_t>(s)];
-    QueryRequest sub;
-    sub.slot = request.slot;
-    sub.selector = request.selector;
-    sub.queried.reserve(indices.size());
-    for (size_t idx : indices) {
-      sub.queried.push_back(shard.layout.LocalId(request.queried[idx]));
-    }
-    util::Result<QueryResponse> served =
-        shard.engine->ServePeriodicFallback(sub, shard.world);
-    if (!served.ok()) {
-      queries_failed_->Increment();
-      return served.status();
-    }
-    GlobalizeResponse(shard, *served);
-    for (size_t j = 0; j < indices.size(); ++j) {
-      response.queried_speeds[indices[j]] = served->queried_speeds[j];
-      if (j < served->queried_variances.size()) {
-        response.queried_variances[indices[j]] =
-            served->queried_variances[j];
-      }
-    }
-    degraded.insert(degraded.end(), served->degraded_roads.begin(),
-                    served->degraded_roads.end());
-  }
-  std::sort(degraded.begin(), degraded.end());
-  degraded.erase(std::unique(degraded.begin(), degraded.end()),
-                 degraded.end());
-  response.degraded_roads = std::move(degraded);
-  response.degraded_reasons.assign(response.degraded_roads.size(),
-                                   crowd::DegradeReason::kLoadShed);
-
-  serve_latency_->Record(serve_timer.ElapsedMillis());
-  queries_served_->Increment();
-  queries_shed_->Increment();
-  roads_degraded_->Increment(
-      static_cast<int64_t>(response.degraded_roads.size()));
-  degraded_load_shed_->Increment(
-      static_cast<int64_t>(response.degraded_roads.size()));
+  counters_.Shed(response, serve_timer.ElapsedMillis());
   return response;
 }
 
@@ -832,20 +664,7 @@ util::Result<QueryResponse> ShardedEngine::ServePeriodicFallback(
 
 EngineStats ShardedEngine::stats() const {
   EngineStats snapshot;
-  snapshot.queries_served = queries_served_->value();
-  snapshot.queries_rejected = queries_rejected_->value();
-  snapshot.queries_failed = queries_failed_->value();
-  snapshot.total_paid = paid_units_->value();
-  snapshot.queries_shed = queries_shed_->value();
-  snapshot.roads_degraded = roads_degraded_->value();
-  snapshot.degraded_deadline = degraded_deadline_->value();
-  snapshot.degraded_outlier = degraded_outlier_->value();
-  snapshot.degraded_unstaffed = degraded_unstaffed_->value();
-  snapshot.degraded_load_shed = degraded_load_shed_->value();
-  snapshot.ocs_latency = ocs_latency_->Snapshot();
-  snapshot.crowd_latency = crowd_latency_->Snapshot();
-  snapshot.gsp_latency = gsp_latency_->Snapshot();
-  snapshot.serve_latency = serve_latency_->Snapshot();
+  counters_.Fill(snapshot);
   snapshot.shards.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     const EngineStats sub = shards_[s]->engine->stats();

@@ -33,11 +33,12 @@ namespace crowdrtse::server {
 /// Knobs of the sharded engine.
 struct ShardedEngineOptions {
   /// Behaviour of every per-shard QueryEngine (fault-tolerant dispatch,
-  /// propagator pool size, ...). trace_sample_rate and profile_sample_rate
-  /// govern the ROUTER's sampling: the router creates one trace/profile
-  /// scope per sampled query and the sub-engines adopt it (their own
-  /// samplers are zeroed at build), so a cross-shard query yields a single
-  /// stitched span tree instead of K disconnected per-shard traces.
+  /// propagator pool size, ...). trace_sample_rate governs the ROUTER's
+  /// sampling: the router creates one trace per sampled query and the
+  /// sub-engines adopt it (their own sampler is zeroed at build), so a
+  /// cross-shard query yields a single stitched span tree instead of K
+  /// disconnected per-shard traces. Stage profiles work the same way,
+  /// for every query.
   QueryEngine::Options engine;
   /// Per-shard crowd simulator behaviour. For sharded-vs-unsharded
   /// bit-identity tests use noiseless worker pools (bias 1, noise 0,
@@ -65,7 +66,7 @@ struct ShardedEngineOptions {
 /// A query spanning owners splits per owner, fans out on the pool, and
 /// the partial responses merge: speeds map back to the original request
 /// order, probed/underfilled/degraded sets union (sorted, deduplicated),
-/// latencies and work counts sum, gsp_sweeps takes the max.
+/// work counts sum, gsp_sweeps takes the max.
 ///
 /// Budget settle-up: the router reserves ONCE from the global ledger
 /// (grant B) per query. Sub-engines run against private unlimited-campaign
@@ -110,9 +111,7 @@ class ShardedEngine : public Engine {
   /// Drains the router (no new queries, in-flight ones finish), then every
   /// sub-engine. Idempotent; the destructor calls it.
   void Drain() override;
-  bool draining() const override {
-    return draining_.load(std::memory_order_acquire);
-  }
+  bool draining() const override { return gate_.draining(); }
 
   /// Router-level totals plus the per-shard breakdown (EngineStats::shards
   /// holds one entry per shard). Dispatch/report counters aggregate over
@@ -231,14 +230,12 @@ class ShardedEngine : public Engine {
       const partition::ShardLayout& layout,
       const std::vector<crowd::Worker>& workers);
 
-  bool EnterServe();
-  void ExitServe();
-  util::Status ValidateRequest(const QueryRequest& request) const;
+  /// Rejects a request for another world than the one the shards were
+  /// projected from, or of the wrong shape (ValidateQuery).
+  util::Status CheckRequest(const QueryRequest& request,
+                            const traffic::DayMatrix& world) const;
   /// Maps a sub-response's local road ids to global ids in place.
   void GlobalizeResponse(const Shard& shard, QueryResponse& response) const;
-  /// Counts a merged, about-to-be-returned response into the router's
-  /// instruments.
-  void RecordServed(const QueryResponse& response, double serve_millis);
 
   partition::Partition partition_;
   BudgetLedger& ledger_;
@@ -248,10 +245,7 @@ class ShardedEngine : public Engine {
   std::unique_ptr<Fanout> fanout_;
 
   std::atomic<int64_t> next_query_id_{1};
-  std::atomic<bool> draining_{false};
-  std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
-  int64_t serves_in_flight_ = 0;
+  ServeGate gate_;
 
   util::metrics::MetricsRegistry metrics_;
   util::trace::TraceCollector traces_;
@@ -259,21 +253,8 @@ class ShardedEngine : public Engine {
   /// and sub-engine stages flow in through the ambient scope the router
   /// installs around sub-serves.
   obs::StageProfiler profiler_;
-  util::metrics::Counter* queries_served_ = nullptr;
-  util::metrics::Counter* queries_rejected_ = nullptr;
-  util::metrics::Counter* queries_failed_ = nullptr;
-  util::metrics::Counter* paid_units_ = nullptr;
-  util::metrics::Counter* queries_shed_ = nullptr;
-  util::metrics::Counter* roads_degraded_ = nullptr;
-  util::metrics::Counter* degraded_deadline_ = nullptr;
-  util::metrics::Counter* degraded_outlier_ = nullptr;
-  util::metrics::Counter* degraded_unstaffed_ = nullptr;
-  util::metrics::Counter* degraded_load_shed_ = nullptr;
+  ServeCounters counters_;
   util::metrics::Counter* queries_cross_shard_ = nullptr;
-  util::metrics::LatencyHistogram* ocs_latency_ = nullptr;
-  util::metrics::LatencyHistogram* crowd_latency_ = nullptr;
-  util::metrics::LatencyHistogram* gsp_latency_ = nullptr;
-  util::metrics::LatencyHistogram* serve_latency_ = nullptr;
 };
 
 }  // namespace crowdrtse::server

@@ -68,7 +68,7 @@ struct LatencySnapshot {
   /// Renders "n=12 mean=1.23ms p50=1.10ms p95=2.50ms p99=3.00ms max=3.10ms".
   std::string ToString() const;
   /// JSON object {"count":…,"sum_ms":…,…} — the registry's histogram
-  /// rendering, shared with EngineStats::ReportJson().
+  /// rendering in RenderJson().
   std::string ToJson() const;
 };
 

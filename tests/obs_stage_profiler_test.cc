@@ -12,19 +12,6 @@ namespace {
 
 using util::metrics::MetricsRegistry;
 
-TEST(StageProfilerTest, SampleRateExtremesAndDeterminism) {
-  MetricsRegistry registry;
-  StageProfiler always(&registry, {.sample_rate = 1.0});
-  StageProfiler never(&registry, {.sample_rate = 0.0});
-  StageProfiler half(&registry, {.sample_rate = 0.5});
-  for (int64_t id = 1; id <= 200; ++id) {
-    EXPECT_TRUE(always.ShouldProfile(id));
-    EXPECT_FALSE(never.ShouldProfile(id));
-    EXPECT_EQ(half.ShouldProfile(id), half.ShouldProfile(id))
-        << "sampling must be deterministic per query id";
-  }
-}
-
 TEST(StageProfilerTest, StageNamesAreStable) {
   EXPECT_STREQ(StageName(Stage::kOcsSelect), "ocs.select");
   EXPECT_STREQ(StageName(Stage::kCrowdDispatch), "crowd.dispatch");
@@ -43,7 +30,7 @@ TEST(StageProfilerTest, TimerIsNoopWithoutActiveScope) {
 
 TEST(StageProfilerTest, ScopedProfileInstallsAndRestores) {
   MetricsRegistry registry;
-  StageProfiler profiler(&registry, {.sample_rate = 1.0});
+  StageProfiler profiler(&registry);
   EXPECT_EQ(ActiveProfiler(), nullptr);
   {
     ScopedProfile outer(&profiler, 7);
@@ -59,23 +46,9 @@ TEST(StageProfilerTest, ScopedProfileInstallsAndRestores) {
   EXPECT_EQ(ActiveProfileQueryId(), 0);
 }
 
-TEST(StageProfilerTest, UnsampledQueryInstallsNoScope) {
-  MetricsRegistry registry;
-  StageProfiler profiler(&registry, {.sample_rate = 0.0});
-  ScopedProfile scope(&profiler, 7);
-  EXPECT_EQ(ActiveProfiler(), nullptr);
-  {
-    StageTimer timer(Stage::kOcsSelect);
-  }
-  // Histograms exist (the profiler registers them eagerly) but stay empty.
-  EXPECT_NE(registry.RenderPrometheus().find(
-                "crowdrtse_stage_wall_ms_count{stage=\"ocs.select\"} 0"),
-            std::string::npos);
-}
-
 TEST(StageProfilerTest, TimerRecordsLabeledHistogramsWithExemplar) {
   MetricsRegistry registry;
-  StageProfiler profiler(&registry, {.sample_rate = 1.0});
+  StageProfiler profiler(&registry);
   {
     ScopedProfile scope(&profiler, 42);
     StageTimer timer(Stage::kOcsSelect);
@@ -98,7 +71,7 @@ TEST(StageProfilerTest, TimerRecordsLabeledHistogramsWithExemplar) {
 
 TEST(StageProfilerTest, StopIsIdempotent) {
   MetricsRegistry registry;
-  StageProfiler profiler(&registry, {.sample_rate = 1.0});
+  StageProfiler profiler(&registry);
   ScopedProfile scope(&profiler, 5);
   StageTimer timer(Stage::kMerge);
   timer.Stop();

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,16 @@
 
 namespace crowdrtse::server {
 namespace {
+
+/// Queries that recorded `stage` in the engine's stage histograms.
+int64_t StageCount(const Engine& engine, const std::string& stage) {
+  const std::string key =
+      "crowdrtse_stage_wall_ms_count{stage=\"" + stage + "\"} ";
+  const std::string text = engine.metrics().RenderPrometheus();
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
+}
 
 class ConcurrentEngineTest : public ::testing::Test {
  protected:
@@ -119,7 +130,7 @@ TEST_F(ConcurrentEngineTest, SharedLedgerNeverOverspendsCampaign) {
   EXPECT_EQ(paid_observed.load(), stats.total_paid);
   // The metrics layer saw every served query end to end.
   EXPECT_EQ(stats.serve_latency.count, stats.queries_served);
-  EXPECT_GE(stats.ocs_latency.count, stats.queries_served);
+  EXPECT_GE(StageCount(engine, "ocs.select"), stats.queries_served);
   EXPECT_LE(stats.serve_latency.p50_ms, stats.serve_latency.p99_ms);
 }
 
@@ -152,17 +163,19 @@ TEST_F(ConcurrentEngineTest, DistinctQueryIdsUnderConcurrency) {
       << "duplicate query id handed out";
 }
 
-TEST_F(ConcurrentEngineTest, ReportIncludesPerPhasePercentiles) {
+TEST_F(ConcurrentEngineTest, ReportAndStageHistogramsCoverEveryPhase) {
   BudgetLedger ledger(-1, 12);
   QueryEngine engine(*system_, *registry_, ledger, costs_, *crowd_sim_);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(engine.Serve(MakeRequest(100 + i), truth_).ok());
   }
+  // Every served query recorded each pipeline stage once.
+  for (const char* stage : {"ocs.select", "crowd.dispatch", "gsp.sweep"}) {
+    EXPECT_EQ(StageCount(engine, stage), 4) << stage;
+  }
   const std::string report = engine.stats().Report();
   EXPECT_NE(report.find("served 4"), std::string::npos);
-  EXPECT_NE(report.find("ocs:"), std::string::npos);
-  EXPECT_NE(report.find("crowd:"), std::string::npos);
-  EXPECT_NE(report.find("gsp:"), std::string::npos);
+  EXPECT_NE(report.find("serve:"), std::string::npos);
   EXPECT_NE(report.find("p50="), std::string::npos);
   EXPECT_NE(report.find("p95="), std::string::npos);
   EXPECT_NE(report.find("p99="), std::string::npos);

@@ -105,14 +105,6 @@ TEST_F(QueryEngineTest, RejectsWhenCampaignExhausted) {
   EXPECT_GE(engine.stats().queries_rejected, 1);
 }
 
-TEST_F(QueryEngineTest, RejectsEmptyQuery) {
-  BudgetLedger ledger(100, 10);
-  QueryEngine engine(*system_, *registry_, ledger, costs_, *crowd_sim_);
-  QueryRequest empty;
-  empty.slot = 100;
-  EXPECT_FALSE(engine.Serve(empty, truth_).ok());
-}
-
 TEST_F(QueryEngineTest, ProbedRoadsComeFromWorkerCoverage) {
   BudgetLedger ledger(1000, 10);
   QueryEngine engine(*system_, *registry_, ledger, costs_, *crowd_sim_);
@@ -163,7 +155,8 @@ TEST_F(QueryEngineTest, FailedQueryStillSettlesItsCrowdSpend) {
 }
 
 // Regression (missing slot validation): out-of-range slots used to flow
-// into the RTF parameter tables unchecked.
+// into the RTF parameter tables unchecked. The rejection names the served
+// world's actual bound.
 TEST_F(QueryEngineTest, RejectsOutOfRangeSlot) {
   BudgetLedger ledger(1000, 12);
   QueryEngine engine(*system_, *registry_, ledger, costs_, *crowd_sim_);
@@ -171,6 +164,10 @@ TEST_F(QueryEngineTest, RejectsOutOfRangeSlot) {
     const auto response = engine.Serve(MakeRequest(slot), truth_);
     ASSERT_FALSE(response.ok()) << "slot " << slot;
     EXPECT_EQ(response.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(response.status().message().find(
+                  "not in [0, " + std::to_string(truth_.num_slots()) + ")"),
+              std::string::npos)
+        << response.status().ToString();
   }
   EXPECT_EQ(engine.stats().queries_rejected, 3);
   // Rejected before any grant: no spend, no reservation, no settle.
@@ -588,8 +585,8 @@ TEST_F(QueryEngineTest, MetricsExpositionMatchesStats) {
   EXPECT_NE(prom.find("crowdrtse_gamma_cache_resident_bytes"),
             std::string::npos);
 
-  // The JSON report carries the same counters under the same names.
-  const std::string json = stats.ReportJson();
+  // The JSON exposition carries the same counters under the same names.
+  const std::string json = engine.metrics().RenderJson();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"crowdrtse_queries_served_total\":3"),
@@ -604,21 +601,6 @@ TEST_F(QueryEngineTest, MetricsExpositionMatchesStats) {
 }
 
 // --- Serve-path correctness fixes (DESIGN.md §6 satellites) ------------
-
-// Satellite bugfix: slot bounds now come from world.num_slots() and the
-// rejection names the actual bound, instead of a hard-coded constant that
-// could drift from the served world.
-TEST_F(QueryEngineTest, SlotRejectionReportsTheWorldsActualBound) {
-  BudgetLedger ledger(1000, 12);
-  QueryEngine engine(*system_, *registry_, ledger, costs_, *crowd_sim_);
-  const auto response = engine.Serve(MakeRequest(100000), truth_);
-  ASSERT_FALSE(response.ok());
-  EXPECT_EQ(response.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(response.status().message().find(
-                "not in [0, " + std::to_string(truth_.num_slots()) + ")"),
-            std::string::npos)
-      << response.status().ToString();
-}
 
 // Admission control's first shed rung: a request-level budget cap below
 // the ledger's grant limits the spend (fewer probed roads), while the
@@ -794,7 +776,6 @@ TEST_F(QueryEngineTest, TracingAndRecordingLeaveAnswersUnchanged) {
   const Day plain = serve_day([](QueryEngine::Options&) {});
   const Day traced = serve_day([](QueryEngine::Options& options) {
     options.trace_sample_rate = 1.0;
-    options.profile_sample_rate = 1.0;
   });
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const bool recorder_was_enabled = recorder.enabled();

@@ -15,6 +15,7 @@
 #include "rtf/correlation_table.h"
 #include "server/query_engine.h"
 #include "traffic/traffic_simulator.h"
+#include "util/clock.h"
 #include "util/rng.h"
 
 namespace crowdrtse::server {
@@ -25,6 +26,16 @@ namespace {
 constexpr int kHopC = 2;
 constexpr int kHopH = 2;
 constexpr int kHalo = 5;
+
+/// Queries that recorded `stage` in `engine`'s stage histograms.
+int64_t StageCount(const Engine& engine, const std::string& stage) {
+  const std::string key =
+      "crowdrtse_stage_wall_ms_count{stage=\"" + stage + "\"} ";
+  const std::string text = engine.metrics().RenderPrometheus();
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
+}
 
 /// Shared world: the paper's 607-road network, a trained model with both
 /// locality knobs on, a noiseless worker pool (bias 1, noise 0) so crowd
@@ -97,7 +108,8 @@ class ShardedEngineTest : public ::testing::Test {
     std::unique_ptr<crowd::CrowdSimulator> crowd_sim;
     std::unique_ptr<QueryEngine> engine;
   };
-  Reference MakeReference(BudgetLedger& ledger) {
+  Reference MakeReference(BudgetLedger& ledger,
+                          const QueryEngine::Options& options = {}) {
     Reference ref;
     ref.system = std::make_unique<core::CrowdRtse>(
         *core::CrowdRtse::BuildOffline(graph_, history_, config_));
@@ -107,7 +119,7 @@ class ShardedEngineTest : public ::testing::Test {
                                                             util::Rng(9));
     ref.engine = std::make_unique<QueryEngine>(
         *ref.system, *ref.registry, ledger, costs_, *ref.crowd_sim,
-        QueryEngine::Options{});
+        options);
     return ref;
   }
 
@@ -280,14 +292,18 @@ TEST_F(ShardedEngineTest, StatsCarryPerShardBreakdown) {
   const std::string report = stats.Report();
   EXPECT_NE(report.find("shard[0]"), std::string::npos) << report;
   EXPECT_NE(report.find("shard[3]"), std::string::npos);
-  const std::string json = stats.ReportJson();
-  EXPECT_NE(json.find("\"crowdrtse_shards\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shard\":0"), std::string::npos);
+  const std::string json = sharded->metrics().RenderJson();
+  EXPECT_NE(
+      json.find("\"crowdrtse_shard_queries_served{shard=\\\"0\\\"}\":1"),
+      std::string::npos)
+      << json;
+  EXPECT_NE(json.find("crowdrtse_shard_queries_served{shard=\\\"3\\\"}"),
+            std::string::npos);
 
-  // An unsharded engine's JSON stays free of the per-shard array.
+  // An unsharded engine's JSON stays free of per-shard series.
   BudgetLedger ref_ledger(1000, 12);
   Reference ref = MakeReference(ref_ledger);
-  EXPECT_EQ(ref.engine->stats().ReportJson().find("crowdrtse_shards"),
+  EXPECT_EQ(ref.engine->metrics().RenderJson().find("crowdrtse_shard_"),
             std::string::npos);
 }
 
@@ -334,19 +350,6 @@ TEST_F(ShardedEngineTest, PeriodicFallbackAnswersEveryRoad) {
   EXPECT_EQ(sharded->stats().queries_shed, 1);
 }
 
-TEST_F(ShardedEngineTest, DrainRefusesNewQueries) {
-  BudgetLedger ledger(100000, 12);
-  auto sharded = MakeSharded(2, ledger);
-  sharded->Drain();
-  EXPECT_TRUE(sharded->draining());
-  QueryRequest request;
-  request.slot = 100;
-  request.queried = {1};
-  const auto rejected = sharded->Serve(request, truth_);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), util::StatusCode::kFailedPrecondition);
-}
-
 TEST_F(ShardedEngineTest, RejectsForeignWorldAndBadRequests) {
   BudgetLedger ledger(100000, 12);
   auto sharded = MakeSharded(2, ledger);
@@ -357,10 +360,6 @@ TEST_F(ShardedEngineTest, RejectsForeignWorldAndBadRequests) {
   request.queried = {1};
   EXPECT_FALSE(sharded->Serve(request, other).ok());
 
-  QueryRequest empty;
-  empty.slot = 100;
-  EXPECT_FALSE(sharded->Serve(empty, truth_).ok());
-
   QueryRequest bad_road;
   bad_road.slot = 100;
   bad_road.queried = {graph_.num_roads()};
@@ -370,7 +369,7 @@ TEST_F(ShardedEngineTest, RejectsForeignWorldAndBadRequests) {
   bad_slot.slot = truth_.num_slots();
   bad_slot.queried = {1};
   EXPECT_FALSE(sharded->Serve(bad_slot, truth_).ok());
-  EXPECT_EQ(sharded->stats().queries_rejected, 4);
+  EXPECT_EQ(sharded->stats().queries_rejected, 3);
   EXPECT_EQ(ledger.reserved_outstanding(), 0);
 }
 
@@ -435,7 +434,6 @@ TEST_F(ShardedEngineTest, CrossShardQueryYieldsOneStitchedTrace) {
   ShardedEngineOptions options;
   options.crowd = crowd_options_;
   options.engine.trace_sample_rate = 1.0;
-  options.engine.profile_sample_rate = 1.0;
   const partition::Partition partition = MakePartition(4);
   const auto engine =
       ShardedEngine::Create(graph_, partition, history_, config_, costs_,
@@ -518,6 +516,77 @@ TEST_F(ShardedEngineTest, CrossShardQueryYieldsOneStitchedTrace) {
   }
   EXPECT_TRUE(saw_split);
   EXPECT_TRUE(saw_merge);
+}
+
+TEST_F(ShardedEngineTest, CountsAndStagesMatchTheUnshardedEngine) {
+  // One single-owner stream through both engines (fault-tolerant dispatch
+  // on a simulated clock): plain queries, then one query each rejected,
+  // shed, crowd-dropped and refused by the drain. Both engines must count
+  // every outcome alike and record each stage once per query that ran it.
+  util::SimClock clock;
+  ShardedEngineOptions options;
+  options.crowd = crowd_options_;
+  options.engine.fault_tolerant_dispatch = true;
+  options.engine.clock = &clock;
+  BudgetLedger ref_ledger(-1, 12);
+  Reference ref = MakeReference(ref_ledger, options.engine);
+  BudgetLedger ledger(-1, 12);
+  auto sharded = ShardedEngine::Create(graph_, MakePartition(4), history_,
+                                       config_, costs_, workers_, ledger,
+                                       truth_, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().message();
+  crowd::FaultSpec drop_all;
+  drop_all.drop_rate = 1.0;
+
+  for (Engine* engine : {static_cast<Engine*>(ref.engine.get()),
+                         static_cast<Engine*>(sharded->get())}) {
+    std::vector<QueryRequest> stream(8);
+    for (size_t q = 0; q < stream.size(); ++q) {
+      const auto& owned = (*sharded)->partition().shards[q % 4].owned;
+      stream[q].slot = 100 + static_cast<int>(q % 3);
+      stream[q].queried = {owned[q], owned[owned.size() / 2 + q]};
+      ASSERT_TRUE(engine->Serve(stream[q], truth_).ok());
+    }
+    EXPECT_FALSE(engine->Serve(QueryRequest{}, truth_).ok());
+    ASSERT_TRUE(engine->ServePeriodicFallback(stream[1], truth_).ok());
+    const crowd::FaultPlan storm(drop_all, 11);
+    if (engine == ref.engine.get()) ref.engine->SetFaultPlan(storm);
+    if (engine == sharded->get()) (*sharded)->SetFaultPlan(storm);
+    ASSERT_TRUE(engine->Serve(stream[2], truth_).ok());
+    engine->Drain();
+    EXPECT_TRUE(engine->draining());
+    const auto refused = engine->Serve(stream[3], truth_);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
+    // The stream and the crowd-dropped query ran every stage; the others
+    // ran none, and no query split, so nothing merged.
+    for (const char* stage : {"ocs.select", "crowd.dispatch", "gsp.sweep"}) {
+      EXPECT_EQ(StageCount(*engine, stage), 9) << stage;
+      EXPECT_NE(engine->metrics().RenderPrometheus().find(
+                    "crowdrtse_stage_cpu_ms_count{stage=\"" +
+                    std::string(stage) + "\"} 9\n"),
+                std::string::npos)
+          << stage;
+    }
+    EXPECT_EQ(StageCount(*engine, "merge"), 0);
+  }
+
+  const EngineStats want = ref.engine->stats();
+  const EngineStats got = (*sharded)->stats();
+  EXPECT_EQ(want.queries_served, 10);
+  EXPECT_EQ(want.queries_rejected, 2);
+  EXPECT_EQ(want.queries_shed, 1);
+  EXPECT_GT(want.total_paid, 0);
+  EXPECT_GT(want.degraded_deadline, 0);
+  EXPECT_GT(want.degraded_load_shed, 0);
+  const auto counts = [](const EngineStats& s) {
+    return std::vector<int64_t>{
+        s.queries_served,    s.queries_rejected,   s.queries_failed,
+        s.queries_shed,      s.total_paid,         s.roads_degraded,
+        s.degraded_deadline, s.degraded_outlier,   s.degraded_unstaffed,
+        s.degraded_load_shed, s.serve_latency.count};
+  };
+  EXPECT_EQ(counts(got), counts(want));
 }
 
 }  // namespace

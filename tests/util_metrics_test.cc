@@ -383,17 +383,21 @@ TEST(MetricsRegistryTest, ConcurrentShardLabeledGaugeRegistration) {
   MetricsRegistry registry;
   constexpr int kShards = 8;
   constexpr int kRounds = 200;
-  std::atomic<bool> stop{false};
+  std::atomic<int> registrants_done{0};
   std::thread renderer([&] {
-    while (!stop.load()) {
+    // A render holds the registry mutex throughout, so back-to-back renders
+    // can starve the registrants (badly so under TSan on a loaded host):
+    // yield between renders, and stop once every registrant has finished.
+    while (registrants_done.load() < kShards) {
       // May render empty before the first registration lands; the point is
       // that rendering concurrently with registration is race-free.
       (void)registry.RenderPrometheus();
+      std::this_thread::yield();
     }
   });
   std::vector<std::thread> shards;
   for (int s = 0; s < kShards; ++s) {
-    shards.emplace_back([&registry, s] {
+    shards.emplace_back([&registry, &registrants_done, s] {
       const std::string name =
           "shard_inflight{shard=\"" + std::to_string(s) + "\"}";
       for (int i = 0; i < kRounds; ++i) {
@@ -403,10 +407,10 @@ TEST(MetricsRegistryTest, ConcurrentShardLabeledGaugeRegistration) {
                           "\"}")
             .RecordWithExemplar(0.5 * s + 0.1, 100 + s);
       }
+      registrants_done.fetch_add(1);
     });
   }
   for (std::thread& t : shards) t.join();
-  stop.store(true);
   renderer.join();
   const std::string prom = registry.RenderPrometheus();
   for (int s = 0; s < kShards; ++s) {

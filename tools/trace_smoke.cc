@@ -399,7 +399,6 @@ int RunShardedStitching() {
   options.crowd.min_noise_kmh = options.crowd.max_noise_kmh = 0.0;
   options.crowd.outlier_rate = 0.0;
   options.engine.trace_sample_rate = 1.0;
-  options.engine.profile_sample_rate = 1.0;
   auto engine = server::ShardedEngine::Create(*graph, *partition, history,
                                               config, costs, workers,
                                               ledger, truth, options);
