@@ -47,9 +47,8 @@ util::Result<ThetaTunerResult> TuneTheta(
                               history.num_slots());
   for (int day = 0; day < train_days; ++day) {
     for (int slot = 0; slot < history.num_slots(); ++slot) {
-      for (graph::RoadId r = 0; r < history.num_roads(); ++r) {
-        train.At(day, slot, r) = history.At(day, slot, r);
-      }
+      std::copy_n(history.SlotPtr(day, slot), history.num_roads(),
+                  train.SlotPtr(day, slot));
     }
   }
   util::Result<rtf::RtfModel> model =

@@ -22,6 +22,16 @@ struct RingCache {
 };
 thread_local RingCache t_ring_cache;
 
+// The calling thread's liveness flag, shared with every ring the thread
+// owns and cleared as the thread exits, which frees those rings for
+// takeover.
+struct ThreadLiveness {
+  std::shared_ptr<std::atomic<bool>> alive =
+      std::make_shared<std::atomic<bool>>(true);
+  ~ThreadLiveness() { alive->store(false, std::memory_order_release); }
+};
+thread_local ThreadLiveness t_liveness;
+
 std::atomic<uint64_t> g_next_instance_id{1};
 
 uint64_t PackMeta(EventKind kind, int shard, uint32_t thread) {
@@ -87,23 +97,37 @@ FlightRecorder& FlightRecorder::Global() {
 }
 
 FlightRecorder::Ring* FlightRecorder::RingForThisThread() {
-  const std::thread::id self = std::this_thread::get_id();
+  const std::shared_ptr<std::atomic<bool>>& self = t_liveness.alive;
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = ring_of_thread_.find(self);
   Ring* ring = nullptr;
-  if (it != ring_of_thread_.end()) {
-    ring = it->second;
-  } else if (static_cast<int>(rings_.size()) < options_.max_threads) {
-    auto owned = std::make_unique<Ring>();
-    owned->thread = static_cast<uint32_t>(rings_.size());
-    owned->slots = std::vector<Slot>(slots_per_thread_);
-    ring = owned.get();
-    rings_.push_back(std::move(owned));
-    ring_of_thread_[self] = ring;
+  Ring* vacant = nullptr;
+  for (const auto& candidate : rings_) {
+    if (candidate->owner == self) {
+      ring = candidate.get();
+      break;
+    }
+    if (vacant == nullptr &&
+        !candidate->owner->load(std::memory_order_acquire)) {
+      vacant = candidate.get();
+    }
+  }
+  if (ring == nullptr) {
+    if (static_cast<int>(rings_.size()) < options_.max_threads) {
+      auto owned = std::make_unique<Ring>();
+      owned->thread = static_cast<uint32_t>(rings_.size());
+      owned->slots = std::vector<Slot>(slots_per_thread_);
+      ring = owned.get();
+      rings_.push_back(std::move(owned));
+    } else if (vacant != nullptr) {
+      ring = vacant;  // its records stay until this thread overwrites them
+    } else {
+      return nullptr;
+    }
+    ring->owner = self;
   }
   t_ring_cache.owner = this;
   t_ring_cache.instance_id = instance_id_;
-  t_ring_cache.ring = ring;  // nullptr is cached too: over-cap threads drop
+  t_ring_cache.ring = ring;
   return ring;
 }
 

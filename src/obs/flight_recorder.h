@@ -6,8 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace crowdrtse::obs {
@@ -55,7 +53,8 @@ struct EventRecord {
   uint64_t seq = 0;
   EventKind kind = EventKind::kAdmissionVerdict;
   int shard = kNoShard;   // kNoShard outside a shard scope
-  uint32_t thread = 0;    // recorder-local thread index, not an OS tid
+  uint32_t thread = 0;    // index of the ring it was written to, not an OS
+                          // tid (a dead thread's ring passes to a new one)
   int64_t a = 0;
   int64_t b = 0;
   int64_t c = 0;
@@ -77,9 +76,13 @@ struct EventRecord {
 ///
 /// Memory is bounded: each thread's ring holds a fixed power-of-two slot
 /// count derived from Options::bytes_per_thread, and at most
-/// Options::max_threads rings ever exist (events from later threads are
-/// counted in dropped() instead of allocating), so the recorder can never
-/// use more than max_threads * bytes_per_thread bytes of ring memory.
+/// Options::max_threads rings ever exist, so the recorder can never use
+/// more than max_threads * bytes_per_thread bytes of ring memory. A ring
+/// outlives its thread: when a thread exits its ring is marked free but
+/// keeps its records (dumps still show them), and a new thread that
+/// registers once the cap is reached takes over a free ring, overwriting
+/// the old records as it wraps. Only while every ring belongs to a live
+/// thread are a further thread's events counted in dropped().
 ///
 /// The process-wide Global() instance is what the serving stack records
 /// into (admission verdicts, shed transitions, shard split/merge, dispatch
@@ -92,7 +95,8 @@ class FlightRecorder {
     /// of two that fits (at least 8 slots).
     size_t bytes_per_thread = 64 * 1024;
     /// Hard cap on rings — the recorder's total byte budget is
-    /// max_threads * bytes_per_thread. Threads beyond the cap drop.
+    /// max_threads * bytes_per_thread. A thread that finds every ring
+    /// owned by a live thread drops.
     int max_threads = 64;
     /// Recording on/off at construction (SetEnabled flips it at runtime).
     bool enabled = true;
@@ -134,11 +138,13 @@ class FlightRecorder {
     return static_cast<int64_t>(next_seq_.load(std::memory_order_relaxed)) -
            1;
   }
-  /// Events lost because the thread cap was hit (ring wraparound is not
-  /// counted — overwriting old records is the ring working as designed).
+  /// Events lost because every ring belonged to a live thread (ring
+  /// wraparound is not counted — overwriting old records is the ring
+  /// working as designed).
   int64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
+  /// Rings allocated so far (at most max_threads; reused rings count once).
   int threads_registered() const;
   size_t slots_per_thread() const { return slots_per_thread_; }
 
@@ -161,13 +167,20 @@ class FlightRecorder {
   };
   struct Ring {
     uint32_t thread = 0;  // registration index
+    /// The owning thread's liveness flag, cleared when that thread exits;
+    /// guarded by mutex_. Identity of the flag object is the ownership
+    /// key: the ring holds a reference, so no later thread's flag can
+    /// share its address while this ring names it.
+    std::shared_ptr<const std::atomic<bool>> owner;
     std::atomic<uint64_t> next{0};
     std::vector<Slot> slots;
   };
 
-  /// Slow path of Record: registers (or re-finds) the calling thread's
-  /// ring under the mutex and refreshes the thread-local cache. Returns
-  /// nullptr when the thread cap is hit.
+  /// Slow path of Record: finds the calling thread's ring under the mutex,
+  /// or gives it a new one (below the cap) or a dead thread's (at the
+  /// cap), and refreshes the thread-local cache. Returns nullptr when
+  /// every ring belongs to a live thread; that is not cached, so the
+  /// thread tries again on its next event.
   Ring* RingForThisThread();
 
   Options options_;
@@ -181,7 +194,6 @@ class FlightRecorder {
   std::atomic<int64_t> dropped_{0};
   mutable std::mutex mutex_;  // ring registration, Snapshot iteration, Clear
   std::vector<std::unique_ptr<Ring>> rings_;
-  std::unordered_map<std::thread::id, Ring*> ring_of_thread_;
 };
 
 /// Tags every event the calling thread records (into any recorder) with a

@@ -1,5 +1,6 @@
 #include "traffic/history_store.h"
 
+#include <algorithm>
 #include <string>
 
 #include "util/logging.h"
@@ -14,14 +15,6 @@ HistoryStore::HistoryStore(int num_roads, int num_days, int num_slots)
                 static_cast<size_t>(num_slots),
             0.0) {}
 
-double& HistoryStore::At(int day, int slot, graph::RoadId road) {
-  return data_[Index(day, slot, road)];
-}
-
-double HistoryStore::At(int day, int slot, graph::RoadId road) const {
-  return data_[Index(day, slot, road)];
-}
-
 util::Status HistoryStore::SetDay(int day, const DayMatrix& matrix) {
   if (day < 0 || day >= num_days_) {
     return util::Status::OutOfRange("day out of range: " +
@@ -31,10 +24,7 @@ util::Status HistoryStore::SetDay(int day, const DayMatrix& matrix) {
     return util::Status::InvalidArgument("day matrix shape mismatch");
   }
   for (int slot = 0; slot < num_slots_; ++slot) {
-    const double* src = matrix.SlotPtr(slot);
-    for (graph::RoadId r = 0; r < num_roads_; ++r) {
-      data_[Index(day, slot, r)] = src[r];
-    }
+    std::copy_n(matrix.SlotPtr(slot), num_roads_, SlotPtr(day, slot));
   }
   return util::Status::Ok();
 }

@@ -57,8 +57,9 @@ class DayMatrix {
 };
 
 /// The historical record H: num_days full days of per-slot speeds. Layout is
-/// (day, slot, road) flat-major so that parameter inference streams the
-/// per-(road, slot) series across days with a fixed stride.
+/// (day, slot, road) flat-major, so each (day, slot) is one contiguous road
+/// row: parameter inference streams whole rows (SlotPtr) rather than one
+/// road's series at a stride.
 class HistoryStore {
  public:
   HistoryStore() = default;
@@ -69,14 +70,26 @@ class HistoryStore {
   int num_slots() const { return num_slots_; }
   size_t num_records() const { return data_.size(); }
 
-  double& At(int day, int slot, graph::RoadId road);
-  double At(int day, int slot, graph::RoadId road) const;
+  double& At(int day, int slot, graph::RoadId road) {
+    return data_[Index(day, slot, road)];
+  }
+  double At(int day, int slot, graph::RoadId road) const {
+    return data_[Index(day, slot, road)];
+  }
+
+  /// Contiguous speeds of all roads on `day` in `slot`.
+  const double* SlotPtr(int day, int slot) const {
+    return data_.data() + Index(day, slot, 0);
+  }
+  double* SlotPtr(int day, int slot) {
+    return data_.data() + Index(day, slot, 0);
+  }
 
   /// Installs an entire day at once.
   util::Status SetDay(int day, const DayMatrix& matrix);
 
-  /// The speeds of (road, slot) across all days — the periodic sample the
-  /// RTF moment estimator consumes.
+  /// The speeds of (road, slot) across all days — the periodic sample of
+  /// one road.
   std::vector<double> Series(graph::RoadId road, int slot) const;
 
   /// Appends individual records (e.g. parsed from CSV). Out-of-range fields

@@ -19,6 +19,26 @@ constexpr double kMorningCenter = 8.25 * 60.0 / kMinutesPerSlot;   // ~08:15
 constexpr double kEveningCenter = 18.0 * 60.0 / kMinutesPerSlot;   // ~18:00
 constexpr double kRushWidth = 1.25 * 60.0 / kMinutesPerSlot;       // ~75 min
 
+// The morning and evening rush weights of one slot; they depend on the slot
+// alone, so a day generator evaluates them once per slot, not per road.
+struct RushBumps {
+  double morning = 0.0;
+  double evening = 0.0;
+};
+
+RushBumps RushBumpsAt(int slot) {
+  return {Bump(slot, kMorningCenter, kRushWidth),
+          Bump(slot, kEveningCenter, kRushWidth)};
+}
+
+// The periodic speed of a road whose rush dips are scaled by `factor`.
+double PeriodicSpeedOf(const RoadProfile& p, double factor, RushBumps bumps,
+                       double min_speed) {
+  const double dip = factor * (p.morning_dip * bumps.morning +
+                               p.evening_dip * bumps.evening);
+  return std::max(min_speed, p.base_speed * (1.0 - std::min(dip, 0.9)));
+}
+
 }  // namespace
 
 util::Status ValidateTrafficOptions(const TrafficModelOptions& options) {
@@ -86,14 +106,9 @@ double TrafficSimulator::PeriodicSpeed(graph::RoadId road, int slot) const {
 
 double TrafficSimulator::PeriodicSpeedOnDay(graph::RoadId road, int slot,
                                             int day) const {
-  const RoadProfile& p = profiles_[static_cast<size_t>(road)];
-  const double factor =
-      IsWeekend(day) ? options_.weekend_rush_factor : 1.0;
-  const double dip =
-      factor * (p.morning_dip * Bump(slot, kMorningCenter, kRushWidth) +
-                p.evening_dip * Bump(slot, kEveningCenter, kRushWidth));
-  return std::max(options_.min_speed,
-                  p.base_speed * (1.0 - std::min(dip, 0.9)));
+  return PeriodicSpeedOf(profiles_[static_cast<size_t>(road)],
+                         RushFactorOnDay(day), RushBumpsAt(slot),
+                         options_.min_speed);
 }
 
 DayMatrix TrafficSimulator::GenerateDay(int day) const {
@@ -104,9 +119,9 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
                          (static_cast<uint64_t>(day) + 1)));
 
   // --- incidents scheduled for the day --------------------------------
-  // incident_drop[slot][road] accumulates fractional severity.
-  std::vector<std::vector<double>> incident_drop(
-      kSlotsPerDay, std::vector<double>(static_cast<size_t>(n), 0.0));
+  // incident_drop[slot * n + road] accumulates fractional severity.
+  std::vector<double> incident_drop(
+      static_cast<size_t>(kSlotsPerDay) * static_cast<size_t>(n), 0.0);
   for (graph::RoadId r = 0; r < n; ++r) {
     if (!rng.Bernoulli(options_.incident_rate_per_road_day)) continue;
     const int start = rng.UniformInt(0, kSlotsPerDay - 1);
@@ -121,8 +136,8 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
          ++hop) {
       for (graph::RoadId road : frontier) {
         for (int slot = start; slot < end; ++slot) {
-          incident_drop[static_cast<size_t>(slot)]
-                       [static_cast<size_t>(road)] += severity;
+          incident_drop[static_cast<size_t>(slot) * static_cast<size_t>(n) +
+                        static_cast<size_t>(road)] += severity;
         }
       }
       std::vector<graph::RoadId> next;
@@ -147,7 +162,9 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
   std::vector<double> smoothed(static_cast<size_t>(n));
   for (auto& v : z) v = rng.Normal();
 
+  const double rush_factor = RushFactorOnDay(day);
   for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+    const RushBumps bumps = RushBumpsAt(slot);
     // Innovation: iid noise diffused over the graph so neighbours co-move.
     for (auto& v : noise) v = rng.Normal();
     for (int pass = 0; pass < options_.spatial_smoothing_passes; ++pass) {
@@ -169,18 +186,18 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
       noise.swap(smoothed);
     }
     double* speeds = out.SlotPtr(slot);
+    const double* slot_drop = incident_drop.data() +
+                              static_cast<size_t>(slot) *
+                                  static_cast<size_t>(n);
     for (graph::RoadId r = 0; r < n; ++r) {
-      z[static_cast<size_t>(r)] = phi * z[static_cast<size_t>(r)] +
-                                  innovation_scale *
-                                      noise[static_cast<size_t>(r)];
-      const double periodic = PeriodicSpeedOnDay(r, slot, day);
-      const double drop = std::min(
-          0.9, incident_drop[static_cast<size_t>(slot)]
-                            [static_cast<size_t>(r)]);
+      const size_t i = static_cast<size_t>(r);
+      z[i] = phi * z[i] + innovation_scale * noise[i];
+      const RoadProfile& profile = profiles_[i];
+      const double periodic =
+          PeriodicSpeedOf(profile, rush_factor, bumps, options_.min_speed);
+      const double drop = std::min(0.9, slot_drop[i]);
       const double speed =
-          periodic * (1.0 - drop) +
-          profiles_[static_cast<size_t>(r)].noise_scale *
-              z[static_cast<size_t>(r)];
+          periodic * (1.0 - drop) + profile.noise_scale * z[i];
       speeds[r] = std::max(options_.min_speed, speed);
     }
   }

@@ -109,6 +109,12 @@ class TrafficSimulator {
   DayMatrix GenerateEvaluationDay(int offset = 0) const;
 
  private:
+  /// Scale of the rush-hour dips on `day`: the weekend factor on weekends,
+  /// 1 otherwise.
+  double RushFactorOnDay(int day) const {
+    return IsWeekend(day) ? options_.weekend_rush_factor : 1.0;
+  }
+
   const graph::Graph& graph_;
   TrafficModelOptions options_;
   uint64_t seed_;

@@ -109,8 +109,8 @@ TEST(FlightRecorderTest, ConcurrentWritersAndDumperSeeNoTornRecords) {
 
 TEST(FlightRecorderTest, ThreadCapDropsInsteadOfAllocating) {
   FlightRecorder recorder(TinyOptions(/*max_threads=*/1));
-  // Both threads must be alive at once: a joined thread's id may be reused
-  // and would legitimately re-find the first ring instead of dropping.
+  // Both threads must be alive at once: a joined thread's ring is free and
+  // the second thread would take it over instead of dropping.
   std::atomic<bool> first_recorded{false};
   std::atomic<bool> second_done{false};
   std::thread first([&] {
@@ -129,6 +129,43 @@ TEST(FlightRecorderTest, ThreadCapDropsInsteadOfAllocating) {
   EXPECT_EQ(recorder.threads_registered(), 1);
   EXPECT_EQ(recorder.dropped(), 2);
   EXPECT_EQ(recorder.Snapshot().size(), 1u);
+}
+
+TEST(FlightRecorderTest, ExitedThreadsRingsAreTakenOver) {
+  constexpr int kMaxThreads = 4;
+  constexpr int kThreads = 100;
+  FlightRecorder recorder(TinyOptions(kMaxThreads));
+  // One short-lived thread after another, each recording once: past the
+  // cap every new thread must take over an exited thread's ring.
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([&recorder, i] { RecordRelated(recorder, i); }).join();
+  }
+  EXPECT_EQ(recorder.recorded(), kThreads);
+  EXPECT_EQ(recorder.dropped(), 0);
+  EXPECT_LE(recorder.threads_registered(), kMaxThreads);
+  const std::vector<EventRecord> events = recorder.Snapshot();
+  ASSERT_FALSE(events.empty());
+  EXPECT_LE(events.size(), kMaxThreads * recorder.slots_per_thread());
+  EXPECT_EQ(events.back().seq, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(events.back().a, kThreads - 1);
+  for (const EventRecord& record : events) ExpectWhole(record);
+}
+
+TEST(FlightRecorderTest, FreedRingKeepsItsRecordsUntilOverwritten) {
+  FlightRecorder recorder(TinyOptions(/*max_threads=*/1));
+  std::thread([&recorder] {
+    for (int i = 0; i < 3; ++i) RecordRelated(recorder, i);
+  }).join();
+  EXPECT_EQ(recorder.Snapshot().size(), 3u);
+  std::thread([&recorder] { RecordRelated(recorder, 3); }).join();
+  const std::vector<EventRecord> events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(events[static_cast<size_t>(i)].a, i);
+    EXPECT_EQ(events[static_cast<size_t>(i)].thread, 0u);
+  }
+  EXPECT_EQ(recorder.threads_registered(), 1);
+  EXPECT_EQ(recorder.dropped(), 0);
 }
 
 TEST(FlightRecorderTest, DisabledRecordIsInvisible) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "graph/generators.h"
 #include "util/stats.h"
@@ -247,6 +249,55 @@ TEST(TrafficSimulatorTest, HistoryAndEvaluationDayDisjoint) {
     }
     EXPECT_GT(diff, 1e-6);
   }
+}
+
+/// FNV-1a over the IEEE bits of `count` doubles, low byte first.
+uint64_t Fnv1a(uint64_t hash, const double* values, int count) {
+  for (int i = 0; i < count; ++i) {
+    const uint64_t bits = std::bit_cast<uint64_t>(values[i]);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xff;
+      hash *= 0x100000001B3ULL;
+    }
+  }
+  return hash;
+}
+
+/// Digest of a simulator's whole history followed by its first evaluation
+/// day, row by row.
+uint64_t HistoryDigest(const TrafficSimulator& sim) {
+  const HistoryStore history = sim.GenerateHistory();
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  for (int day = 0; day < history.num_days(); ++day) {
+    for (int slot = 0; slot < history.num_slots(); ++slot) {
+      hash = Fnv1a(hash, history.SlotPtr(day, slot), history.num_roads());
+    }
+  }
+  const DayMatrix eval_day = sim.GenerateEvaluationDay();
+  for (int slot = 0; slot < eval_day.num_slots(); ++slot) {
+    hash = Fnv1a(hash, eval_day.SlotPtr(slot), eval_day.num_roads());
+  }
+  return hash;
+}
+
+// Pins the generator's output bit for bit: any change to its arithmetic or
+// draw order (not just to its statistics) moves these digests.
+TEST(TrafficSimulatorTest, HistoryDigestIsPinned) {
+  // The paper-scale world the benches build: 607 roads, 30 days.
+  util::Rng net_rng(42);
+  graph::RoadNetworkOptions net_options;
+  net_options.num_roads = 607;
+  const graph::Graph city = *graph::RoadNetwork(net_options, net_rng);
+  const TrafficSimulator city_sim(city, TrafficModelOptions{}, 43);
+  EXPECT_EQ(HistoryDigest(city_sim), 0x7CDADB1A1F405D18ULL);
+
+  // A lighter weekend rush, so the weekend factor is exercised too.
+  const graph::Graph g = TestGraph();
+  TrafficModelOptions weekend = FastOptions();
+  weekend.num_days = 9;
+  weekend.weekend_rush_factor = 0.6;
+  const TrafficSimulator weekend_sim(g, weekend, 7);
+  EXPECT_EQ(HistoryDigest(weekend_sim), 0xDC4F4C1A0A53C0B9ULL);
 }
 
 }  // namespace
