@@ -29,6 +29,7 @@
 #include "rtf/correlation_table.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace crowdrtse::bench {
@@ -108,9 +109,10 @@ void Run() {
         clients, [&](int slot) { baseline.Get(slot); }, /*same_slot=*/false);
 
     rtf::CorrelationCache cache{rtf::CorrelationCacheOptions{}};
-    const auto compute = [&](int slot, util::ThreadPool* fanout) {
-      return rtf::CorrelationTable::Compute(
-          world.model, slot, rtf::PathWeightMode::kNegLog, fanout);
+    const auto compute = [&](int slot) {
+      return rtf::CorrelationTable::Compute(world.model, slot,
+                                            rtf::PathWeightMode::kNegLog,
+                                            &util::ThreadPool::Shared());
     };
     const double cached_seconds = TimeClients(
         clients,
@@ -137,9 +139,10 @@ void Run() {
     const double locked_seconds = TimeClients(
         8, [&](int slot) { baseline.Get(slot); }, /*same_slot=*/true);
     rtf::CorrelationCache cache{rtf::CorrelationCacheOptions{}};
-    const auto compute = [&](int slot, util::ThreadPool* fanout) {
-      return rtf::CorrelationTable::Compute(
-          world.model, slot, rtf::PathWeightMode::kNegLog, fanout);
+    const auto compute = [&](int slot) {
+      return rtf::CorrelationTable::Compute(world.model, slot,
+                                            rtf::PathWeightMode::kNegLog,
+                                            &util::ThreadPool::Shared());
     };
     const double cached_seconds = TimeClients(
         8,

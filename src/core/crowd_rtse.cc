@@ -2,6 +2,7 @@
 
 #include "graph/bfs.h"
 #include "gsp/uncertainty.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 #include <algorithm>
@@ -68,8 +69,7 @@ util::Result<rtf::CorrelationCache::TablePtr> CrowdRtse::CorrelationsFor(
   }
   return correlation_cache_->GetOrCompute(
       slot,
-      [this](int s,
-             util::ThreadPool* fanout) -> util::Result<rtf::CorrelationTable> {
+      [this](int s) -> util::Result<rtf::CorrelationTable> {
         if (config_.refine_with_ccd) {
           // Refinement mutates the shared model, so it runs under the CCD
           // mutex and touches only slot s's parameters. The table is then
@@ -92,13 +92,13 @@ util::Result<rtf::CorrelationCache::TablePtr> CrowdRtse::CorrelationsFor(
           }();
           if (!snapshot.ok()) return snapshot.status();
           return rtf::CorrelationTable::Compute(
-              *snapshot, s, config_.path_mode, fanout,
+              *snapshot, s, config_.path_mode, &util::ThreadPool::Shared(),
               config_.correlation_hop_radius);
         }
         // Without refinement the model is immutable after BuildOffline, so
         // reading it lock-free here is safe.
         return rtf::CorrelationTable::Compute(*model_, s, config_.path_mode,
-                                              fanout,
+                                              &util::ThreadPool::Shared(),
                                               config_.correlation_hop_radius);
       });
 }
@@ -147,11 +147,10 @@ util::Result<int> CrowdRtse::RefineSlot(int slot) {
     const rtf::CorrelationCache::PatchOutcome outcome =
         correlation_cache_->PatchInPlace(
             slot,
-            [this, &edge_rho, &affected](const rtf::CorrelationTable& current,
-                                         util::ThreadPool* fanout)
+            [this, &edge_rho, &affected](const rtf::CorrelationTable& current)
                 -> util::Result<rtf::CorrelationTable> {
               return current.RefreshedRows(*graph_, edge_rho, affected,
-                                           fanout);
+                                           &util::ThreadPool::Shared());
             });
     if (outcome == rtf::CorrelationCache::PatchOutcome::kPatched) {
       return static_cast<int>(affected.size());

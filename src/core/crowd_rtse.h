@@ -119,7 +119,7 @@ class CrowdRtse {
   const CrowdRtseConfig& config() const { return config_; }
 
   /// The cached correlation closure for `slot` (computed on first use —
-  /// ~one Dijkstra per road, fanned out across the cache's thread pool).
+  /// ~one Dijkstra per road, fanned out on util::ThreadPool::Shared()).
   /// Thread-safe and non-blocking across slots: concurrent first touches of
   /// the same cold slot coalesce onto one computation, while other slots —
   /// warm or cold — proceed untouched. The shared_ptr keeps the table alive

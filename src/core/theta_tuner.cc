@@ -11,6 +11,7 @@
 #include "rtf/correlation_table.h"
 #include "rtf/moment_estimator.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace crowdrtse::core {
 
@@ -72,9 +73,9 @@ util::Result<ThetaTunerResult> TuneTheta(
   // |thetas| times, in the configured path mode.
   rtf::CorrelationCache gamma_cache;
   const auto compute_gamma =
-      [&model, &options](int s, util::ThreadPool* fanout) {
+      [&model, &options](int s) {
         return rtf::CorrelationTable::Compute(*model, s, options.path_mode,
-                                              fanout);
+                                              &util::ThreadPool::Shared());
       };
 
   ThetaTunerResult result;

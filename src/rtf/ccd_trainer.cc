@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <string>
 
 namespace crowdrtse::rtf {
@@ -236,45 +235,6 @@ util::Result<CcdReport> CcdTrainer::TrainSlot(RtfModel& model,
   }
   report.final_log_likelihood = LogLikelihood(model, slot);
   return report;
-}
-
-util::Result<std::vector<CcdReport>> CcdTrainer::TrainSlots(
-    RtfModel& model, const std::vector<int>& slots,
-    util::ThreadPool* pool) const {
-  std::set<int> seen;
-  for (int slot : slots) {
-    if (slot < 0 || slot >= model.num_slots() ||
-        slot >= history_.num_slots()) {
-      return util::Status::OutOfRange("slot out of range: " +
-                                      std::to_string(slot));
-    }
-    if (!seen.insert(slot).second) {
-      // Duplicate slots would race when trained in parallel.
-      return util::Status::InvalidArgument("duplicate slot: " +
-                                           std::to_string(slot));
-    }
-  }
-  std::vector<CcdReport> reports(slots.size());
-  std::vector<util::Status> statuses(slots.size());
-  const auto train_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      util::Result<CcdReport> report = TrainSlot(model, slots[i]);
-      if (report.ok()) {
-        reports[i] = std::move(*report);
-      } else {
-        statuses[i] = report.status();
-      }
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(slots.size(), train_range);
-  } else {
-    train_range(0, slots.size());
-  }
-  for (const util::Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  return reports;
 }
 
 }  // namespace crowdrtse::rtf

@@ -7,7 +7,6 @@
 #include "rtf/rtf_model.h"
 #include "traffic/history_store.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace crowdrtse::rtf {
 
@@ -58,15 +57,9 @@ class CcdTrainer {
 
   /// Runs CCD sweeps on `model`'s parameters for `slot`, in place, starting
   /// from the model's current values. Returns convergence diagnostics.
+  /// Different slots touch disjoint parameters, so distinct slots of one
+  /// model may train concurrently.
   util::Result<CcdReport> TrainSlot(RtfModel& model, int slot) const;
-
-  /// Trains several slots, optionally in parallel: different slots touch
-  /// disjoint parameter ranges of the model, so they can run concurrently
-  /// on `pool` (nullptr = sequential). Reports come back aligned with
-  /// `slots`; fails fast on invalid slots before any training starts.
-  util::Result<std::vector<CcdReport>> TrainSlots(
-      RtfModel& model, const std::vector<int>& slots,
-      util::ThreadPool* pool = nullptr) const;
 
   /// Joint log-likelihood of `slot` under the model (Eq. 5, with the
   /// normaliser per `use_normalized_likelihood`). Exposed for tests: each

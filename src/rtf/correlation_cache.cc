@@ -1,7 +1,6 @@
 #include "rtf/correlation_cache.h"
 
 #include <filesystem>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,12 +32,20 @@ std::string CorrelationCache::StatsSnapshot::ToString() const {
 }
 
 CorrelationCache::CorrelationCache(CorrelationCacheOptions options)
-    : options_(std::move(options)) {
-  if (options_.num_shards < 1) options_.num_shards = 1;
-  shards_ = std::make_unique<Shard[]>(static_cast<size_t>(options_.num_shards));
-}
+    : options_(std::move(options)) {}
 
 CorrelationCache::~CorrelationCache() { Drain(); }
+
+CorrelationCache::InFlight::InFlight(CorrelationCache& cache)
+    : cache_(cache) {
+  std::lock_guard<std::mutex> lock(cache_.drain_mutex_);
+  ++cache_.computes_in_flight_;
+}
+
+CorrelationCache::InFlight::~InFlight() {
+  std::lock_guard<std::mutex> lock(cache_.drain_mutex_);
+  if (--cache_.computes_in_flight_ == 0) cache_.drained_.notify_all();
+}
 
 void CorrelationCache::Drain() {
   std::unique_lock<std::mutex> lock(drain_mutex_);
@@ -47,7 +54,7 @@ void CorrelationCache::Drain() {
 
 std::shared_ptr<CorrelationCache::Entry> CorrelationCache::EntryFor(
     int slot) {
-  Shard& shard = shards_[static_cast<size_t>(slot % options_.num_shards)];
+  Shard& shard = shards_[static_cast<size_t>(slot % kNumShards)];
   std::lock_guard<std::mutex> lock(shard.mutex);
   std::shared_ptr<Entry>& entry = shard.entries[slot];
   if (!entry) entry = std::make_shared<Entry>();
@@ -105,21 +112,8 @@ util::Result<CorrelationCache::TablePtr> CorrelationCache::GetOrCompute(
     const uint64_t generation = entry->generation;
     lock.unlock();
 
-    // Register with the drain gate for the whole slow path: Drain() (and
-    // the destructor) must not tear down the fan-out pool while this
-    // compute might still ParallelFor on it. The guard's decrement is the
-    // last cache-member access on every exit from this iteration.
-    {
-      std::lock_guard<std::mutex> drain_lock(drain_mutex_);
-      ++computes_in_flight_;
-    }
-    struct DrainGuard {
-      CorrelationCache* cache;
-      ~DrainGuard() {
-        std::lock_guard<std::mutex> drain_lock(cache->drain_mutex_);
-        if (--cache->computes_in_flight_ == 0) cache->drained_.notify_all();
-      }
-    } drain_guard{this};
+    // Drain() (and the destructor) waits until this slow path is done.
+    const InFlight in_flight(*this);
 
     // The slow path runs outside every lock: other slots proceed untouched
     // and same-slot arrivals park on the condition variable above.
@@ -131,24 +125,7 @@ util::Result<CorrelationCache::TablePtr> CorrelationCache::GetOrCompute(
     if (!table) {
       obs::StageTimer gamma_stage(obs::Stage::kGammaCompute);
       util::Timer timer;
-      util::Result<CorrelationTable> computed = [&] {
-        util::ThreadPool* pool = nullptr;
-        std::unique_lock<std::mutex> fan_lock(fanout_mutex_,
-                                              std::try_to_lock);
-        if (fan_lock.owns_lock()) {
-          if (!fanout_) {
-            int threads = options_.fanout_threads;
-            if (threads <= 0) {
-              threads = static_cast<int>(std::thread::hardware_concurrency());
-            }
-            if (threads > 1) {
-              fanout_ = std::make_unique<util::ThreadPool>(threads);
-            }
-          }
-          pool = fanout_.get();
-        }
-        return compute(slot, pool);
-      }();
+      util::Result<CorrelationTable> computed = compute(slot);
       compute_latency_.Record(timer.ElapsedMillis());
       if (computed.ok()) {
         table = std::make_shared<CorrelationTable>(std::move(*computed));
@@ -276,38 +253,11 @@ CorrelationCache::PatchOutcome CorrelationCache::PatchInPlace(
     }
   }
 
-  // The patch runs outside all cache locks, under the drain gate (it may
-  // fan out on the shared pool).
-  {
-    std::lock_guard<std::mutex> drain_lock(drain_mutex_);
-    ++computes_in_flight_;
-  }
-  struct DrainGuard {
-    CorrelationCache* cache;
-    ~DrainGuard() {
-      std::lock_guard<std::mutex> drain_lock(cache->drain_mutex_);
-      if (--cache->computes_in_flight_ == 0) cache->drained_.notify_all();
-    }
-  } drain_guard{this};
+  // The patch runs outside all cache locks, under the drain gate.
+  const InFlight in_flight(*this);
 
   util::Timer timer;
-  util::Result<CorrelationTable> patched = [&] {
-    util::ThreadPool* pool = nullptr;
-    std::unique_lock<std::mutex> fan_lock(fanout_mutex_, std::try_to_lock);
-    if (fan_lock.owns_lock()) {
-      if (!fanout_) {
-        int threads = options_.fanout_threads;
-        if (threads <= 0) {
-          threads = static_cast<int>(std::thread::hardware_concurrency());
-        }
-        if (threads > 1) {
-          fanout_ = std::make_unique<util::ThreadPool>(threads);
-        }
-      }
-      pool = fanout_.get();
-    }
-    return patch(*current, pool);
-  }();
+  util::Result<CorrelationTable> patched = patch(*current);
   compute_latency_.Record(timer.ElapsedMillis());
   current.reset();
 

@@ -1,6 +1,7 @@
 #ifndef CROWDRTSE_RTF_CORRELATION_CACHE_H_
 #define CROWDRTSE_RTF_CORRELATION_CACHE_H_
 
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include "rtf/correlation_table.h"
 #include "util/metrics.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace crowdrtse::rtf {
 
@@ -33,16 +33,6 @@ struct CorrelationCacheOptions {
   /// process restart does not re-pay one Dijkstra per road per slot.
   /// Empty (the default) disables persistence.
   std::string persist_dir;
-
-  /// Number of lock shards the per-slot entries spread over. More shards
-  /// means less contention on the entry-lookup step (the per-slot state
-  /// itself is individually locked regardless).
-  int num_shards = 16;
-
-  /// Threads for the per-source Dijkstra fan-out inside one table
-  /// computation. 0 means hardware concurrency; 1 disables the fan-out
-  /// pool entirely.
-  int fanout_threads = 0;
 
   /// When > 0, warm-loaded files whose road count differs are rejected
   /// (they were computed against a different network) and recomputed.
@@ -66,10 +56,9 @@ struct CorrelationCacheOptions {
 ///   - Singleflight compute: concurrent first touches of the *same* slot
 ///     coalesce onto one computation — the first arrival computes, the rest
 ///     wait on the entry's condition variable; other slots never block.
-///   - Dijkstra fan-out: the compute callback is handed the cache's
-///     util::ThreadPool when it is free (the pool runs one ParallelFor at a
-///     time, so concurrent cold slots beyond the first compute serially in
-///     their own thread rather than queue on the pool).
+///   - No pool of its own: a compute callback fans its Dijkstra runs out
+///     on whatever util::ThreadPool it chooses (CrowdRtse passes
+///     ThreadPool::Shared(), which takes concurrent callers).
 ///   - LRU eviction: tables are evicted least-recently-used when resident
 ///     bytes exceed the budget. Lookups hand out shared_ptrs, so a reader
 ///     holding a table keeps it alive across eviction.
@@ -87,10 +76,8 @@ class CorrelationCache {
   /// table a reader is still using.
   using TablePtr = std::shared_ptr<const CorrelationTable>;
 
-  /// Computes the table for `slot`. `fanout` is the cache's Dijkstra pool
-  /// when available, nullptr otherwise (compute serially then).
-  using ComputeFn = std::function<util::Result<CorrelationTable>(
-      int slot, util::ThreadPool* fanout)>;
+  /// Computes the table for `slot`.
+  using ComputeFn = std::function<util::Result<CorrelationTable>(int slot)>;
 
   /// Point-in-time cache statistics (counters are monotonic since
   /// construction; resident_* reflect the current moment).
@@ -113,7 +100,7 @@ class CorrelationCache {
 
   explicit CorrelationCache(CorrelationCacheOptions options = {});
   /// Calls Drain(): destruction while another thread is mid-compute would
-  /// otherwise tear the Dijkstra fan-out pool down under that thread.
+  /// otherwise tear the entries down under that thread.
   ~CorrelationCache();
 
   CorrelationCache(const CorrelationCache&) = delete;
@@ -149,7 +136,7 @@ class CorrelationCache {
   /// Transforms the resident table for `slot` into its successor, e.g. an
   /// incremental Gamma_R refresh after CCD changed a few parameters.
   using PatchFn = std::function<util::Result<CorrelationTable>(
-      const CorrelationTable& current, util::ThreadPool* fanout)>;
+      const CorrelationTable& current)>;
 
   /// Invalidate-with-a-shortcut: semantically equivalent to Invalidate
   /// followed by the next GetOrCompute, but the new table is derived from
@@ -193,6 +180,23 @@ class CorrelationCache {
     std::list<int>::iterator position;
     std::size_t bytes = 0;
   };
+  /// Registers one slow path (warm load, compute or patch) with the drain
+  /// gate for its lifetime; its decrement is the slow path's last access
+  /// to the cache.
+  class InFlight {
+   public:
+    explicit InFlight(CorrelationCache& cache);
+    ~InFlight();
+    InFlight(const InFlight&) = delete;
+    InFlight& operator=(const InFlight&) = delete;
+
+   private:
+    CorrelationCache& cache_;
+  };
+
+  /// Lock shards the per-slot entries spread over; the per-slot state
+  /// itself is locked per entry regardless.
+  static constexpr int kNumShards = 16;
 
   std::shared_ptr<Entry> EntryFor(int slot);
   /// Moves `slot` to the LRU front if still resident.
@@ -204,7 +208,7 @@ class CorrelationCache {
   void Persist(int slot, const CorrelationTable& table);
 
   CorrelationCacheOptions options_;
-  std::unique_ptr<Shard[]> shards_;
+  std::array<Shard, kNumShards> shards_;
 
   // LRU bookkeeping; never held together with an entry mutex (Publish and
   // Touch run after the entry lock is released, eviction takes each
@@ -213,12 +217,6 @@ class CorrelationCache {
   std::list<int> lru_;  // front = most recently used
   std::map<int, LruNode> lru_index_;
   std::size_t resident_bytes_ = 0;
-
-  // Dijkstra fan-out pool, created lazily and try-locked per compute: the
-  // pool runs one ParallelFor at a time, so a second concurrent cold slot
-  // computes serially instead of blocking on the first.
-  std::mutex fanout_mutex_;
-  std::unique_ptr<util::ThreadPool> fanout_;
 
   // Drain bookkeeping: slow paths in flight (see Drain()).
   std::mutex drain_mutex_;

@@ -13,11 +13,6 @@ namespace crowdrtse::server {
 
 namespace {
 
-int FanoutThreadsOrDefault(int requested, int num_shards) {
-  if (requested > 0) return requested;
-  return std::min(num_shards, 8);
-}
-
 /// Groups the queried roads by owner shard: returns the owners in
 /// ascending order and fills `group_indices[s]` with the request positions
 /// of shard s's roads, so merged answers stay aligned.
@@ -133,47 +128,6 @@ QueryResponse MergeGroups(const QueryRequest& request,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Fanout pool
-
-ShardedEngine::Fanout::Fanout(int num_threads) {
-  threads_.reserve(static_cast<size_t>(std::max(1, num_threads)));
-  for (int i = 0; i < std::max(1, num_threads); ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ShardedEngine::Fanout::~Fanout() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void ShardedEngine::Fanout::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-void ShardedEngine::Fanout::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stop_ set and queue drained
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Construction
 
 ShardedEngine::ShardedEngine(partition::Partition partition,
@@ -184,6 +138,9 @@ ShardedEngine::ShardedEngine(partition::Partition partition,
       ledger_(ledger),
       world_(&world),
       options_(options),
+      fanout_(options.fanout_threads > 0
+                  ? options.fanout_threads
+                  : std::min(partition_.num_shards, 8)),
       traces_(util::trace::TraceCollector::Options{
           options.engine.trace_ring_size, options.engine.trace_slow_log_size}),
       profiler_(&metrics_),
@@ -359,8 +316,6 @@ util::Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
     if (!built.ok()) return built;
     engine->shards_.push_back(std::move(shard));
   }
-  engine->fanout_ = std::make_unique<Fanout>(
-      FanoutThreadsOrDefault(options.fanout_threads, partition.num_shards));
 
   // Per-shard observability: one labeled series per shard on top of the
   // router aggregates. Callback gauges read the sub-engine at render time.
@@ -537,7 +492,7 @@ util::Result<QueryResponse> ShardedEngine::Serve(
     // A fan-out pool thread carries no ambient trace/profile scope:
     // install the router's, parenting this thread's spans under the root
     // "serve" span so the per-shard subtree stitches into one tree. The
-    // calling thread (which runs the last group) already carries the trace.
+    // calling thread, which runs groups too, already carries the trace.
     std::optional<util::trace::ScopedTrace> adopt;
     if (trace && util::trace::ActiveTrace() != trace.get()) {
       adopt.emplace(trace.get(), root_span);
@@ -562,23 +517,10 @@ util::Result<QueryResponse> ShardedEngine::Serve(
     shard_span.Annotate("outcome", run.ok ? "served" : "failed");
   };
 
-  // The calling thread takes the last group; the pool runs the rest.
-  std::mutex pending_mutex;
-  std::condition_variable pending_cv;
-  size_t pending = runs.size() - 1;
-  for (size_t g = 0; g + 1 < runs.size(); ++g) {
-    fanout_->Submit([&run_group, &runs, g, &pending_mutex, &pending_cv,
-                     &pending] {
-      run_group(runs[g]);
-      std::lock_guard<std::mutex> lock(pending_mutex);
-      if (--pending == 0) pending_cv.notify_one();
-    });
-  }
-  run_group(runs.back());
-  {
-    std::unique_lock<std::mutex> lock(pending_mutex);
-    pending_cv.wait(lock, [&pending] { return pending == 0; });
-  }
+  fanout_.ParallelFor(runs.size(), [&run_group, &runs](size_t begin,
+                                                       size_t end) {
+    for (size_t g = begin; g < end; ++g) run_group(runs[g]);
+  });
 
   int total_paid = 0;
   for (const GroupRun& run : runs) {

@@ -2,13 +2,8 @@
 #define CROWDRTSE_SERVER_SHARDED_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <queue>
-#include <thread>
 #include <vector>
 
 #include "core/crowd_rtse.h"
@@ -26,6 +21,7 @@
 #include "traffic/history_store.h"
 #include "util/metrics.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace crowdrtse::server {
@@ -46,9 +42,9 @@ struct ShardedEngineOptions {
   crowd::CrowdSimOptions crowd;
   /// Shard s's simulator draws from util::Rng(crowd_seed + s).
   uint64_t crowd_seed = 0x5eedcafe;
-  /// Threads of the cross-shard fan-out pool. <= 0 derives
-  /// min(num_shards, 8). Single-owner queries never touch the pool: they
-  /// run inline on the calling thread.
+  /// Threads of the cross-shard fan-out util::ThreadPool, the calling
+  /// thread included. <= 0 derives min(num_shards, 8). Single-owner
+  /// queries never touch the pool: they run inline on the calling thread.
   int fanout_threads = 0;
 };
 
@@ -191,25 +187,6 @@ class ShardedEngine : public Engine {
     std::unique_ptr<QueryEngine> engine;
   };
 
-  /// Minimal task pool for the multi-owner fan-out. util::ThreadPool is a
-  /// one-ParallelFor-at-a-time construct and cannot take submissions from
-  /// concurrent Serve calls, so the router keeps its own queue.
-  class Fanout {
-   public:
-    explicit Fanout(int num_threads);
-    ~Fanout();
-    void Submit(std::function<void()> task);
-
-   private:
-    void WorkerLoop();
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::queue<std::function<void()>> tasks_;
-    bool stop_ = false;
-    std::vector<std::thread> threads_;
-  };
-
   ShardedEngine(partition::Partition partition, BudgetLedger& ledger,
                 const traffic::DayMatrix& world,
                 const ShardedEngineOptions& options);
@@ -242,7 +219,8 @@ class ShardedEngine : public Engine {
   const traffic::DayMatrix* world_;
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<Fanout> fanout_;
+  /// Runs a multi-owner query's groups; concurrent Serve calls share it.
+  util::ThreadPool fanout_;
 
   std::atomic<int64_t> next_query_id_{1};
   ServeGate gate_;

@@ -122,6 +122,10 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
   // incident_drop[slot * n + road] accumulates fractional severity.
   std::vector<double> incident_drop(
       static_cast<size_t>(kSlotsPerDay) * static_cast<size_t>(n), 0.0);
+  // Roads one incident's spillover has reached: a day-scoped marker,
+  // cleared after each incident at the roads it marked only.
+  std::vector<char> seen(static_cast<size_t>(n), 0);
+  std::vector<graph::RoadId> marked;
   for (graph::RoadId r = 0; r < n; ++r) {
     if (!rng.Bernoulli(options_.incident_rate_per_road_day)) continue;
     const int start = rng.UniformInt(0, kSlotsPerDay - 1);
@@ -129,8 +133,8 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
                              start + options_.incident_duration_slots);
     // Severity decays by half per hop of spillover.
     std::vector<graph::RoadId> frontier{r};
-    std::vector<bool> seen(static_cast<size_t>(n), false);
-    seen[static_cast<size_t>(r)] = true;
+    seen[static_cast<size_t>(r)] = 1;
+    marked.assign(1, r);
     double severity = options_.incident_severity;
     for (int hop = 0; hop <= options_.incident_spillover_hops && severity > 0.01;
          ++hop) {
@@ -144,7 +148,8 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
       for (graph::RoadId road : frontier) {
         for (const graph::Adjacency& adj : graph_.Neighbors(road)) {
           if (!seen[static_cast<size_t>(adj.neighbor)]) {
-            seen[static_cast<size_t>(adj.neighbor)] = true;
+            seen[static_cast<size_t>(adj.neighbor)] = 1;
+            marked.push_back(adj.neighbor);
             next.push_back(adj.neighbor);
           }
         }
@@ -152,6 +157,7 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
       frontier = std::move(next);
       severity *= 0.5;
     }
+    for (graph::RoadId road : marked) seen[static_cast<size_t>(road)] = 0;
   }
 
   // --- spatio-temporal latent fluctuation -----------------------------

@@ -1,12 +1,13 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace crowdrtse::util {
 
 namespace {
 
-/// Contiguous chunk [begin, end) of worker `index` out of `parts`.
+/// Contiguous chunk [begin, end) of `index` out of `parts`.
 std::pair<size_t, size_t> Chunk(size_t total, int parts, int index) {
   const size_t base = total / static_cast<size_t>(parts);
   const size_t extra = total % static_cast<size_t>(parts);
@@ -16,91 +17,84 @@ std::pair<size_t, size_t> Chunk(size_t total, int parts, int index) {
   return {begin, begin + size};
 }
 
-// Spin iterations before a worker parks on the condition variable. The
-// pool's users (the Gamma_R build and incremental refresh, the CCD trainer
-// and the theta tuner) each make a run of ParallelFor calls back to back;
-// spinning keeps the workers hot between the calls of one run, while an
-// idle pool still ends up parked instead of burning a core. GSP does not
-// use the pool: a propagation runs on the serving thread.
-constexpr int kSpinLimit = 1 << 14;
-
 }  // namespace
+
+/// One ParallelFor call. Lives on its caller's stack; every field but
+/// `body`, `total` and `parts` is guarded by the pool mutex.
+struct ThreadPool::Job {
+  const std::function<void(size_t, size_t)>* body = nullptr;
+  size_t total = 0;
+  int parts = 0;
+  int next = 0;         // first unclaimed chunk
+  int unfinished = 0;   // chunks not yet retired
+  std::condition_variable done;
+};
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int i = 1; i < num_threads_; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  shutting_down_.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
   }
   work_ready_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
+ThreadPool& ThreadPool::Shared() {
+  static ThreadPool pool(static_cast<int>(std::thread::hardware_concurrency()));
+  return pool;
+}
+
 void ThreadPool::ParallelFor(
     size_t total, const std::function<void(size_t, size_t)>& body) {
   if (total == 0) return;
-  if (num_threads_ == 1 || total == 1) {
+  const int parts =
+      static_cast<int>(std::min(total, static_cast<size_t>(num_threads_)));
+  if (parts == 1) {
     body(0, total);
     return;
   }
-  body_ = &body;
-  total_ = total;
-  remaining_.store(num_threads_ - 1, std::memory_order_relaxed);
-  job_id_.fetch_add(1, std::memory_order_release);
-  if (parked_.load(std::memory_order_acquire) > 0) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-    }
-    work_ready_.notify_all();
-  }
-  // The caller works on chunk 0, then spins for the stragglers.
-  const auto [begin, end] = Chunk(total, num_threads_, 0);
-  if (begin < end) body(begin, end);
-  int spins = 0;
-  while (remaining_.load(std::memory_order_acquire) != 0) {
-    if (++spins > kSpinLimit) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
-  body_ = nullptr;
+  Job job;
+  job.body = &body;
+  job.total = total;
+  job.parts = parts;
+  job.unfinished = parts;
+  std::unique_lock<std::mutex> lock(mutex_);
+  queue_.push_back(&job);
+  for (int i = 1; i < parts; ++i) work_ready_.notify_one();
+  // Run this job's unstarted chunks here, then wait out the ones workers
+  // have started.
+  while (job.next < parts) RunChunk(job, lock);
+  job.done.wait(lock, [&job] { return job.unfinished == 0; });
 }
 
-void ThreadPool::WorkerLoop(int worker_index) {
-  uint64_t last_job = 0;
+void ThreadPool::RunChunk(Job& job, std::unique_lock<std::mutex>& lock) {
+  const int index = job.next++;
+  if (job.next == job.parts) {
+    queue_.erase(std::find(queue_.begin(), queue_.end(), &job));
+  }
+  lock.unlock();
+  const auto [begin, end] = Chunk(job.total, job.parts, index);
+  (*job.body)(begin, end);
+  lock.lock();
+  // Notified under the lock: the caller returns, destroying `job`, as soon
+  // as it observes the count.
+  if (--job.unfinished == 0) job.done.notify_all();
+}
+
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    // Hot path: spin for the next job.
-    uint64_t job = 0;
-    int spins = 0;
-    for (;;) {
-      if (shutting_down_.load(std::memory_order_acquire)) return;
-      job = job_id_.load(std::memory_order_acquire);
-      if (job != last_job) break;
-      if (++spins > kSpinLimit) {
-        // Cold path: park until something changes.
-        std::unique_lock<std::mutex> lock(mutex_);
-        parked_.fetch_add(1, std::memory_order_release);
-        work_ready_.wait(lock, [this, last_job] {
-          return shutting_down_.load(std::memory_order_acquire) ||
-                 job_id_.load(std::memory_order_acquire) != last_job;
-        });
-        parked_.fetch_sub(1, std::memory_order_release);
-        if (shutting_down_.load(std::memory_order_acquire)) return;
-        job = job_id_.load(std::memory_order_acquire);
-        break;
-      }
-    }
-    last_job = job;
-    const auto [begin, end] = Chunk(total_, num_threads_, worker_index);
-    if (begin < end) (*body_)(begin, end);
-    remaining_.fetch_sub(1, std::memory_order_release);
+    work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and no call is waiting
+    RunChunk(*queue_.front(), lock);
   }
 }
 

@@ -1,60 +1,62 @@
 #ifndef CROWDRTSE_UTIL_THREAD_POOL_H_
 #define CROWDRTSE_UTIL_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace crowdrtse::util {
 
 /// Fixed-size worker pool for data-parallel loops: the Gamma_R closure
-/// fans its per-source Dijkstra runs out over it, and the CCD trainer its
-/// per-slot work. Dispatch is lock-free (a job counter the hot workers spin
-/// on) and workers only park on a condition variable after an idle spell.
+/// fans its per-source Dijkstra runs out over it, and the sharded router
+/// its per-owner sub-queries.
 ///
-/// Not a general task scheduler: one ParallelFor runs at a time, invoked
-/// from a single caller thread, which also participates in the work.
+/// Any number of threads may call ParallelFor at once, also from inside a
+/// body running on the same pool. Each call queues one job; the caller
+/// claims its own job's unstarted chunks and then waits only for chunks
+/// another thread has already started, so a call completes even when every
+/// worker is busy elsewhere. Idle workers park on one condition variable.
 class ThreadPool {
  public:
-  /// Starts `num_threads - 1` workers (the calling thread is the Nth).
+  /// Starts `num_threads - 1` workers (a calling thread is the Nth).
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// The process-wide pool of hardware-concurrency threads, started on
+  /// first use.
+  static ThreadPool& Shared();
+
   int num_threads() const { return num_threads_; }
 
-  /// Runs body(begin, end) over [0, total) split into contiguous chunks,
-  /// one per thread, in parallel; returns when every chunk is done. The
-  /// body must not call ParallelFor on the same pool reentrantly.
+  /// Runs body(begin, end) over [0, total) split into min(total,
+  /// num_threads()) contiguous chunks, in parallel; returns when every
+  /// chunk is done.
   void ParallelFor(size_t total,
                    const std::function<void(size_t, size_t)>& body);
 
  private:
-  void WorkerLoop(int worker_index);
+  struct Job;
+
+  void WorkerLoop();
+  /// Claims `job`'s next chunk, runs it unlocked and retires it. `lock`
+  /// holds mutex_ on entry and on return.
+  void RunChunk(Job& job, std::unique_lock<std::mutex>& lock);
 
   int num_threads_;
-  std::vector<std::thread> workers_;
 
-  // Job slot: written by ParallelFor before the job_id_ release-increment,
-  // read by workers after its acquire-load.
-  const std::function<void(size_t, size_t)>* body_ = nullptr;
-  size_t total_ = 0;
-  std::atomic<uint64_t> job_id_{0};
-  std::atomic<int> remaining_{0};
-  std::atomic<bool> shutting_down_{false};
-
-  // Cold-path parking.
-  std::atomic<int> parked_{0};
   std::mutex mutex_;
   std::condition_variable work_ready_;
+  std::deque<Job*> queue_;  // jobs with unclaimed chunks, oldest first
+  bool stopping_ = false;
+
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace crowdrtse::util

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "graph/generators.h"
 #include "rtf/moment_estimator.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace crowdrtse::rtf {
 namespace {
@@ -172,6 +174,40 @@ TEST(CcdTrainerTest, InvalidInputsRejected) {
   bad.learning_rate = 0.0;
   const CcdTrainer bad_trainer(g, history, bad);
   EXPECT_FALSE(bad_trainer.TrainSlot(model, 0).ok());
+}
+
+TEST(CcdTrainerTest, ConcurrentSlotsMatchSequential) {
+  // CrowdRtse trains different cold slots of one model concurrently.
+  const graph::Graph g = *graph::PathNetwork(8);
+  const traffic::HistoryStore history = RandomHistory(8, 6, 6, 3);
+  CcdOptions options;
+  options.max_iterations = 25;
+  options.learning_rate = 0.02;
+  const CcdTrainer trainer(g, history, options);
+
+  RtfModel sequential(g, 6);
+  for (int slot = 0; slot < 6; ++slot) {
+    ASSERT_TRUE(trainer.TrainSlot(sequential, slot).ok());
+  }
+  RtfModel parallel(g, 6);
+  std::vector<int> ok(6, 0);
+  util::ThreadPool pool(4);
+  pool.ParallelFor(6, [&](size_t begin, size_t end) {
+    for (size_t slot = begin; slot < end; ++slot) {
+      ok[slot] = trainer.TrainSlot(parallel, static_cast<int>(slot)).ok();
+    }
+  });
+
+  for (int slot = 0; slot < 6; ++slot) {
+    EXPECT_TRUE(ok[static_cast<size_t>(slot)]);
+    for (graph::RoadId r = 0; r < 8; ++r) {
+      EXPECT_DOUBLE_EQ(parallel.Mu(slot, r), sequential.Mu(slot, r));
+      EXPECT_DOUBLE_EQ(parallel.Sigma(slot, r), sequential.Sigma(slot, r));
+    }
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_DOUBLE_EQ(parallel.Rho(slot, e), sequential.Rho(slot, e));
+    }
+  }
 }
 
 }  // namespace

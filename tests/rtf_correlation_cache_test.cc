@@ -11,6 +11,7 @@
 
 #include "graph/generators.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace crowdrtse::rtf {
 namespace {
@@ -23,7 +24,7 @@ graph::Graph TestGraph() { return *graph::PathNetwork(4); }
 
 CorrelationCache::ComputeFn CountingCompute(const graph::Graph& graph,
                                             std::atomic<int>* count) {
-  return [&graph, count](int, util::ThreadPool*) {
+  return [&graph, count](int) {
     count->fetch_add(1);
     return CorrelationTable::FromEdgeCorrelations(graph, {0.9, 0.8, 0.7});
   };
@@ -73,7 +74,7 @@ TEST(CorrelationCacheTest, ColdSlotDoesNotBlockOtherSlots) {
 
   std::thread blocked([&] {
     const auto result =
-        cache.GetOrCompute(0, [&](int, util::ThreadPool*) {
+        cache.GetOrCompute(0, [&](int) {
           slot0_entered = true;
           gate.wait();
           return CorrelationTable::FromEdgeCorrelations(g, {0.5, 0.5, 0.5});
@@ -105,7 +106,7 @@ TEST(CorrelationCacheTest, DisjointColdSlotsComputeConcurrently) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const auto result =
-          cache.GetOrCompute(t, [&](int, util::ThreadPool*) {
+          cache.GetOrCompute(t, [&](int) {
             inside.fetch_add(1);
             while (inside.load() < kThreads) std::this_thread::yield();
             return CorrelationTable::FromEdgeCorrelations(g,
@@ -131,7 +132,7 @@ TEST(CorrelationCacheTest, SameSlotFirstTouchesComputeExactlyOnce) {
   std::shared_future<void> gate(release.get_future());
   // The winning thread blocks inside the compute until every other thread
   // has had a chance to pile onto the same slot.
-  const auto compute = [&](int, util::ThreadPool*) {
+  const auto compute = [&](int) {
     computes.fetch_add(1);
     entered = true;
     gate.wait();
@@ -161,7 +162,7 @@ TEST(CorrelationCacheTest, ComputeErrorsPropagateButAreNotCached) {
   const graph::Graph g = TestGraph();
   CorrelationCache cache;
   std::atomic<int> calls{0};
-  const auto failing = [&](int, util::ThreadPool*)
+  const auto failing = [&](int)
       -> util::Result<CorrelationTable> {
     calls.fetch_add(1);
     return util::Status::NumericalError("flaky");
@@ -343,7 +344,7 @@ TEST(CorrelationCacheTest, MismatchedRoadCountRejectsPersistedFile) {
   CorrelationCacheOptions other = options;
   other.expected_num_roads = 7;  // pretend the network changed
   CorrelationCache cache(other);
-  const auto table = cache.GetOrCompute(0, [&](int, util::ThreadPool*) {
+  const auto table = cache.GetOrCompute(0, [&](int) {
     computes.fetch_add(1);
     return CorrelationTable::FromEdgeCorrelations(
         *graph::PathNetwork(7), {0.9, 0.8, 0.7, 0.6, 0.5, 0.4});
@@ -389,7 +390,7 @@ TEST(CorrelationCacheTest, InvalidateDuringComputeDiscardsStaleResult) {
   std::atomic<bool> invalidated{false};
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
-  const auto compute = [&](int, util::ThreadPool*) {
+  const auto compute = [&](int) {
     const double rho = invalidated.load() ? 0.5 : 0.9;
     if (computes.fetch_add(1) == 0) {
       entered = true;
@@ -441,10 +442,10 @@ TEST(CorrelationCacheTest, ConcurrentStressDisjointAndSharedSlots) {
   std::vector<double> rho(static_cast<size_t>(g.num_edges()), 0.8);
   CorrelationCache cache;
   std::atomic<int> computes{0};
-  const auto compute = [&](int, util::ThreadPool* fanout) {
+  const auto compute = [&](int) {
     computes.fetch_add(1);
     return CorrelationTable::FromEdgeCorrelations(
-        g, rho, PathWeightMode::kNegLog, fanout);
+        g, rho, PathWeightMode::kNegLog, &util::ThreadPool::Shared());
   };
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {

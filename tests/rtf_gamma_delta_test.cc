@@ -10,6 +10,7 @@
 #include "rtf/correlation_table.h"
 #include "traffic/traffic_simulator.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace crowdrtse::rtf {
 namespace {
@@ -98,21 +99,23 @@ TEST(GammaDeltaTest, PatchInPlaceEqualsInvalidateAndRecompute) {
 
   CorrelationCache cache;
   const auto resident =
-      cache.GetOrCompute(0, [&](int, util::ThreadPool* fanout) {
+      cache.GetOrCompute(0, [&](int) {
         return CorrelationTable::FromEdgeCorrelations(
-            g, old_rho, PathWeightMode::kNegLog, fanout, kHops);
+            g, old_rho, PathWeightMode::kNegLog, &util::ThreadPool::Shared(),
+            kHops);
       });
   ASSERT_TRUE(resident.ok());
 
   const auto outcome = cache.PatchInPlace(
-      0, [&](const CorrelationTable& current, util::ThreadPool* fanout) {
-        return current.RefreshedRows(g, new_rho, affected, fanout);
+      0, [&](const CorrelationTable& current) {
+        return current.RefreshedRows(g, new_rho, affected,
+                                     &util::ThreadPool::Shared());
       });
   EXPECT_EQ(outcome, CorrelationCache::PatchOutcome::kPatched);
   EXPECT_EQ(cache.stats().patches, 1);
 
   const auto patched =
-      cache.GetOrCompute(0, [&](int, util::ThreadPool*)
+      cache.GetOrCompute(0, [&](int)
                                 -> util::Result<CorrelationTable> {
         ADD_FAILURE() << "patched table must be served without recompute";
         return util::Status::FailedPrecondition("unexpected recompute");
@@ -127,7 +130,7 @@ TEST(GammaDeltaTest, PatchInPlaceEqualsInvalidateAndRecompute) {
 TEST(GammaDeltaTest, PatchInPlaceWithoutResidentTableInvalidates) {
   CorrelationCache cache;
   const auto outcome = cache.PatchInPlace(
-      0, [](const CorrelationTable&, util::ThreadPool*)
+      0, [](const CorrelationTable&)
              -> util::Result<CorrelationTable> {
         ADD_FAILURE() << "nothing resident: patch must not run";
         return util::Status::FailedPrecondition("unexpected patch");

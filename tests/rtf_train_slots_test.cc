@@ -1,92 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "graph/generators.h"
-#include "rtf/ccd_trainer.h"
 #include "rtf/correlation_table.h"
 #include "util/rng.h"
 
 namespace crowdrtse::rtf {
 namespace {
-
-traffic::HistoryStore RandomHistory(int num_roads, int num_days,
-                                    int num_slots, uint64_t seed) {
-  util::Rng rng(seed);
-  traffic::HistoryStore store(num_roads, num_days, num_slots);
-  for (int day = 0; day < num_days; ++day) {
-    for (int slot = 0; slot < num_slots; ++slot) {
-      for (graph::RoadId r = 0; r < num_roads; ++r) {
-        store.At(day, slot, r) =
-            40.0 + 3.0 * slot + rng.Normal(0.0, 2.0);
-      }
-    }
-  }
-  return store;
-}
-
-TEST(TrainSlotsTest, SequentialMatchesPerSlotTraining) {
-  const graph::Graph g = *graph::PathNetwork(6);
-  const traffic::HistoryStore history = RandomHistory(6, 8, 4, 1);
-  CcdOptions options;
-  options.max_iterations = 30;
-  options.learning_rate = 0.02;
-  const CcdTrainer trainer(g, history, options);
-
-  RtfModel batch(g, 4);
-  const auto reports = trainer.TrainSlots(batch, {0, 1, 2, 3});
-  ASSERT_TRUE(reports.ok());
-  ASSERT_EQ(reports->size(), 4u);
-
-  RtfModel reference(g, 4);
-  for (int slot = 0; slot < 4; ++slot) {
-    ASSERT_TRUE(trainer.TrainSlot(reference, slot).ok());
-  }
-  for (int slot = 0; slot < 4; ++slot) {
-    for (graph::RoadId r = 0; r < 6; ++r) {
-      EXPECT_DOUBLE_EQ(batch.Mu(slot, r), reference.Mu(slot, r));
-      EXPECT_DOUBLE_EQ(batch.Sigma(slot, r), reference.Sigma(slot, r));
-    }
-  }
-}
-
-TEST(TrainSlotsTest, ParallelMatchesSequential) {
-  const graph::Graph g = *graph::PathNetwork(8);
-  const traffic::HistoryStore history = RandomHistory(8, 6, 6, 3);
-  CcdOptions options;
-  options.max_iterations = 25;
-  options.learning_rate = 0.02;
-  const CcdTrainer trainer(g, history, options);
-  const std::vector<int> slots{0, 1, 2, 3, 4, 5};
-
-  RtfModel sequential(g, 6);
-  ASSERT_TRUE(trainer.TrainSlots(sequential, slots).ok());
-
-  RtfModel parallel(g, 6);
-  util::ThreadPool pool(4);
-  ASSERT_TRUE(trainer.TrainSlots(parallel, slots, &pool).ok());
-
-  for (int slot : slots) {
-    for (graph::RoadId r = 0; r < 8; ++r) {
-      EXPECT_DOUBLE_EQ(parallel.Mu(slot, r), sequential.Mu(slot, r));
-      EXPECT_DOUBLE_EQ(parallel.Sigma(slot, r), sequential.Sigma(slot, r));
-    }
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      EXPECT_DOUBLE_EQ(parallel.Rho(slot, e), sequential.Rho(slot, e));
-    }
-  }
-}
-
-TEST(TrainSlotsTest, Validation) {
-  const graph::Graph g = *graph::PathNetwork(3);
-  const traffic::HistoryStore history = RandomHistory(3, 5, 2, 5);
-  const CcdTrainer trainer(g, history, {});
-  RtfModel model(g, 2);
-  EXPECT_FALSE(trainer.TrainSlots(model, {0, 5}).ok());
-  EXPECT_FALSE(trainer.TrainSlots(model, {-1}).ok());
-  EXPECT_FALSE(trainer.TrainSlots(model, {0, 0}).ok());  // duplicate
-  const auto empty = trainer.TrainSlots(model, {});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-}
 
 TEST(CorrelationTableIoTest, RoundTrip) {
   const graph::Graph g = *graph::GridNetwork(4, 4);

@@ -129,7 +129,7 @@ TEST(CorrelationCacheDrainTest, DestructionWaitsForInFlightCompute) {
   std::atomic<bool> finished{false};
   std::thread computer([&] {
     const auto table =
-        cache->GetOrCompute(0, [&](int, util::ThreadPool*) {
+        cache->GetOrCompute(0, [&](int) {
           started.store(true);
           // Long enough that the destructor below overlaps the compute.
           std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -151,7 +151,7 @@ TEST(CorrelationCacheDrainTest, DrainWithNothingInFlightReturnsAtOnce) {
   const graph::Graph g = *graph::PathNetwork(4);
   ASSERT_TRUE(cache
                   .GetOrCompute(0,
-                                [&](int, util::ThreadPool*) {
+                                [&](int) {
                                   return rtf::CorrelationTable::
                                       FromEdgeCorrelations(g,
                                                            {0.9, 0.8, 0.7});

@@ -65,7 +65,6 @@ class SoakTest : public ::testing::Test {
     config_.gsp.hop_limit = 2;
     config_.prune_zero_gain_candidates = true;
     config_.correlation_cache.memory_budget_bytes = kGammaBudgetBytes;
-    config_.correlation_cache.fanout_threads = 1;
     costs_ = crowd::CostModel::Constant(graph_.num_roads(), 2);
 
     partition::PartitionerOptions options;
