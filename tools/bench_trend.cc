@@ -13,6 +13,11 @@
 //                 failed == 0 at every sweep point; served > 0
 //                 work per query, largest map / smallest map, at every
 //                 shard count: <= 1.5 (absolute; the fresh run only)
+//   accuracy      GSP's MAPE and FER at every (seed, budget) of the
+//                 baseline (two-sided band, CI passes 5%; FER's band is
+//                 at least two estimates wide)
+//                 GSP has the lowest K = 30 MAPE on every seed where the
+//                 baseline has it (bench_fig3_estimation_quality --seeds)
 // A band of t means the fresh ratio must stay >= baseline * (1 - t); the
 // upper side is unchecked — getting faster is not a regression. The work
 // gate needs no band: work counts are exact (bench_scale's "work" rows),
@@ -22,12 +27,16 @@
 // OCS; GSP's relax-order updates): it fails when one of those grows with
 // the city. A map-sized pass that no counter sees, such as a dense fill
 // inside a helper, leaves the counts as they are; only the QPS band and
-// the serving benchmark's latency show it.
+// the serving benchmark's latency show it. The accuracy band is two-sided
+// because accuracy is deterministic for a seed: a move either way means the
+// answers changed, and a change that means to move them re-baselines.
 //
-// Usage: bench_trend --baseline=PATH --fresh=PATH --kind=micro|scale
+// Usage: bench_trend --baseline=PATH --fresh=PATH --kind=micro|scale|accuracy
 //                    [--tolerance=0.5]
 // Exits nonzero after printing every violated band, so the perf-trend CI
 // job reports the full diagnosis in one run.
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +45,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "net/json.h"
 #include "util/status.h"
@@ -182,6 +192,105 @@ void CheckScale(const net::json::Value& baseline, const net::json::Value& fresh,
   }
 }
 
+/// One bench_fig3_estimation_quality --seeds cell.
+struct AccuracyCell {
+  double mape = 0.0;
+  double fer = 0.0;
+  double estimates = 0.0;
+};
+
+/// (seed, budget) -> method -> cell.
+using AccuracyCells =
+    std::map<std::pair<int64_t, int64_t>, std::map<std::string, AccuracyCell>>;
+
+AccuracyCells ReadAccuracyCells(const net::json::Value& doc,
+                                const std::string& which) {
+  AccuracyCells out;
+  const net::json::Value* cells = doc.Find("cells");
+  Check(cells != nullptr, which + " lacks a cells array");
+  if (cells == nullptr) return out;
+  for (const auto& cell : cells->AsArray()) {
+    const net::json::Value* seed = cell.Find("seed");
+    const net::json::Value* budget = cell.Find("budget");
+    const net::json::Value* method = cell.Find("method");
+    const net::json::Value* mape = cell.Find("mape");
+    const net::json::Value* fer = cell.Find("fer");
+    const net::json::Value* estimates = cell.Find("estimates");
+    const bool complete = seed != nullptr && budget != nullptr &&
+                          method != nullptr && mape != nullptr &&
+                          fer != nullptr && estimates != nullptr;
+    Check(complete, which + " has a cell without seed, budget, method, "
+                            "mape, fer or estimates");
+    if (!complete) continue;
+    out[{static_cast<int64_t>(seed->AsDouble()),
+         static_cast<int64_t>(budget->AsDouble())}][method->AsString()] = {
+        mape->AsDouble(), fer->AsDouble(), estimates->AsDouble()};
+  }
+  Check(!out.empty(), which + " has no accuracy cells");
+  return out;
+}
+
+/// True when GSP's MAPE is strictly the lowest of the cell's methods.
+bool GspHasBestMape(const std::map<std::string, AccuracyCell>& methods) {
+  const auto gsp = methods.find("GSP");
+  if (gsp == methods.end()) return false;
+  for (const auto& [name, cell] : methods) {
+    if (name != "GSP" && cell.mape <= gsp->second.mape) return false;
+  }
+  return true;
+}
+
+/// FER moves in steps of one estimate; its band is never narrower than two.
+constexpr double kFerMinBandEstimates = 2.0;
+constexpr int64_t kShapeBudget = 30;
+
+void CheckAccuracy(const net::json::Value& baseline,
+                   const net::json::Value& fresh, double tolerance) {
+  const AccuracyCells base = ReadAccuracyCells(baseline, "baseline");
+  const AccuracyCells now = ReadAccuracyCells(fresh, "fresh run");
+  for (const auto& [key, methods] : base) {
+    const auto [seed, budget] = key;
+    const std::string at = "seed=" + std::to_string(seed) +
+                           " K=" + std::to_string(budget);
+    const auto base_gsp = methods.find("GSP");
+    const auto fresh_cell = now.find(key);
+    Check(base_gsp != methods.end(), "baseline lacks GSP at " + at);
+    Check(fresh_cell != now.end(), "fresh run lacks " + at);
+    if (base_gsp == methods.end() || fresh_cell == now.end()) continue;
+    const auto fresh_gsp = fresh_cell->second.find("GSP");
+    Check(fresh_gsp != fresh_cell->second.end(), "fresh run lacks GSP at " + at);
+    if (fresh_gsp == fresh_cell->second.end()) continue;
+    const AccuracyCell& b = base_gsp->second;
+    const AccuracyCell& f = fresh_gsp->second;
+    const double mape_band = tolerance * b.mape;
+    const double fer_band =
+        std::max(tolerance * b.fer,
+                 kFerMinBandEstimates / std::max(1.0, b.estimates));
+    const bool mape_ok = std::fabs(f.mape - b.mape) <= mape_band;
+    const bool fer_ok = std::fabs(f.fer - b.fer) <= fer_band;
+    std::printf("GSP %-16s MAPE %.4f -> %.4f (±%.4f) %s  FER %.4f -> %.4f "
+                "(±%.4f) %s\n",
+                at.c_str(), b.mape, f.mape, mape_band, mape_ok ? "ok" : "MOVED",
+                b.fer, f.fer, fer_band, fer_ok ? "ok" : "MOVED");
+    Check(mape_ok, "GSP MAPE at " + at + " left its band");
+    Check(fer_ok, "GSP FER at " + at + " left its band");
+
+    if (budget != kShapeBudget) continue;
+    // Paper §VII-C: GSP has the best MAPE at the smallest budget. Gated on
+    // every seed where the baseline shows it; a seed where it does not is
+    // reported, not failed.
+    if (!GspHasBestMape(methods)) {
+      std::printf("GSP best MAPE at %s: not in the baseline, not gated\n",
+                  at.c_str());
+      continue;
+    }
+    const bool best = GspHasBestMape(fresh_cell->second);
+    std::printf("GSP best MAPE at %s: %s\n", at.c_str(),
+                best ? "ok" : "LOST");
+    Check(best, "GSP no longer has the best MAPE at " + at);
+  }
+}
+
 int Run(int argc, char** argv) {
   std::string baseline_path;
   std::string fresh_path;
@@ -203,10 +312,10 @@ int Run(int argc, char** argv) {
     }
   }
   if (baseline_path.empty() || fresh_path.empty() ||
-      (kind != "micro" && kind != "scale")) {
+      (kind != "micro" && kind != "scale" && kind != "accuracy")) {
     std::printf(
         "usage: bench_trend --baseline=PATH --fresh=PATH"
-        " --kind=micro|scale [--tolerance=0.5]\n");
+        " --kind=micro|scale|accuracy [--tolerance=0.5]\n");
     return 2;
   }
   if (tolerance <= 0.0 || tolerance >= 1.0) {
@@ -230,6 +339,8 @@ int Run(int argc, char** argv) {
               fresh_path.c_str(), baseline_path.c_str(), tolerance * 100.0);
   if (kind == "micro") {
     CheckMicrokernels(*baseline, *fresh, tolerance);
+  } else if (kind == "accuracy") {
+    CheckAccuracy(*baseline, *fresh, tolerance);
   } else {
     CheckScale(*baseline, *fresh, tolerance);
   }
