@@ -1,6 +1,7 @@
 #include "ocs/greedy_selectors.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <queue>
@@ -104,6 +105,25 @@ OcsSolution RunLazyGreedy(const OcsProblem& problem, ScoreFn score) {
   return solution;
 }
 
+/// True when every candidate costs the same power of two c. Dividing a
+/// gain by c then only shifts its exponent, so the ratio pass compares the
+/// objective pass's numbers scaled by one exact factor: both passes make
+/// the same choices in the same order, and Alg. 4's tie rule keeps the
+/// ratio pass. (Gains would have to be below 2^-1022 * c, subnormal after
+/// the division, for the scaling to round.)
+bool UniformPowerOfTwoCost(const OcsProblem& problem) {
+  const std::vector<graph::RoadId>& candidates = problem.candidate_roads();
+  if (candidates.empty()) return true;
+  const int cost = problem.costs().Cost(candidates.front());
+  if (cost <= 0 || !std::has_single_bit(static_cast<unsigned>(cost))) {
+    return false;
+  }
+  return std::all_of(candidates.begin(), candidates.end(),
+                     [&](graph::RoadId r) {
+                       return problem.costs().Cost(r) == cost;
+                     });
+}
+
 /// Stamps a finished selector run onto its span (no-op untraced).
 OcsSolution Annotated(util::trace::Span& span, OcsSolution solution) {
   if (span.active()) {
@@ -132,6 +152,7 @@ OcsSolution ObjectiveGreedy(const OcsProblem& problem) {
 
 OcsSolution HybridGreedy(const OcsProblem& problem) {
   OcsSolution ratio = RatioGreedy(problem);
+  if (UniformPowerOfTwoCost(problem)) return ratio;
   OcsSolution objective = ObjectiveGreedy(problem);
   return ratio.objective >= objective.objective ? ratio : objective;
 }
@@ -152,6 +173,7 @@ OcsSolution LazyObjectiveGreedy(const OcsProblem& problem) {
 
 OcsSolution LazyHybridGreedy(const OcsProblem& problem) {
   OcsSolution ratio = LazyRatioGreedy(problem);
+  if (UniformPowerOfTwoCost(problem)) return ratio;
   OcsSolution objective = LazyObjectiveGreedy(problem);
   return ratio.objective >= objective.objective ? ratio : objective;
 }

@@ -16,7 +16,9 @@ OcsSolution RatioGreedy(const OcsProblem& problem);
 OcsSolution ObjectiveGreedy(const OcsProblem& problem);
 
 /// Hybrid-Greedy (paper Alg. 4): runs both greedies and keeps the better
-/// solution. Approximation ratio (1 - 1/e)/2 (paper Theorem 2).
+/// solution. Approximation ratio (1 - 1/e)/2 (paper Theorem 2). When every
+/// candidate costs the same power of two the two greedies provably pick
+/// the same roads, so only the ratio pass runs (same output).
 OcsSolution HybridGreedy(const OcsProblem& problem);
 
 /// Random baseline ("Rand" in the paper's figures): shuffles the candidates
@@ -33,7 +35,8 @@ OcsSolution RandomSelect(const OcsProblem& problem, util::Rng& rng);
 OcsSolution LazyRatioGreedy(const OcsProblem& problem);
 OcsSolution LazyObjectiveGreedy(const OcsProblem& problem);
 
-/// Hybrid over the lazy variants: the drop-in faster HybridGreedy.
+/// Hybrid over the lazy variants: the drop-in faster HybridGreedy (one
+/// pass under uniform power-of-two costs, as HybridGreedy).
 OcsSolution LazyHybridGreedy(const OcsProblem& problem);
 
 /// Detects the paper's Remark-2 trivial cases (theta == 1 and unit costs

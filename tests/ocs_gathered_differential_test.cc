@@ -253,6 +253,88 @@ TEST_P(GatheredDifferentialTest, AllSelectorsMatchPerCallOracles) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GatheredDifferentialTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
+// Hybrid-Greedy runs only its ratio pass when every candidate costs the
+// same power of two. Its output must equal the two-pass Alg. 4 result
+// built from the public passes; with other costs the objective pass must
+// still run, which shows whenever it beats the ratio pass.
+TEST(HybridOnePassTest, UniformPowerOfTwoCostsMatchTwoPasses) {
+  constexpr int kRoads = 70;
+  int objective_wins = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Rng rng(seed);
+    const World world = MakeWorld(rng, kRoads);
+    const rtf::CorrelationTable table =
+        *rtf::CorrelationTable::FromEdgeCorrelations(
+            world.graph, world.rho, rtf::PathWeightMode::kNegLog, nullptr,
+            /*hop_radius=*/2);
+    std::vector<graph::RoadId> queried;
+    for (int r : rng.SampleWithoutReplacement(kRoads, 12)) {
+      queried.push_back(r);
+    }
+    std::vector<double> weights;
+    for (size_t i = 0; i < queried.size(); ++i) {
+      weights.push_back(rng.UniformDouble(0.5, 8.0));
+    }
+    std::vector<graph::RoadId> candidates;
+    for (int r : rng.SampleWithoutReplacement(kRoads, 40)) {
+      candidates.push_back(r);
+    }
+    // Uniform over the candidates only: roads outside the pool cost 5.
+    std::vector<int> pool_costs_4(kRoads, 5);
+    for (graph::RoadId c : candidates) {
+      pool_costs_4[static_cast<size_t>(c)] = 4;
+    }
+    struct Costs {
+      std::string name;
+      crowd::CostModel model;
+      bool one_pass;
+    };
+    const std::vector<Costs> cost_models = {
+        {"constant 1", crowd::CostModel::Constant(kRoads, 1), true},
+        {"constant 2", crowd::CostModel::Constant(kRoads, 2), true},
+        {"constant 4", crowd::CostModel::Constant(kRoads, 4), true},
+        {"pool 4", *crowd::CostModel::FromCosts(pool_costs_4), true},
+        {"constant 3", crowd::CostModel::Constant(kRoads, 3), false},
+        {"random 1..6", *crowd::CostModel::UniformRandom(kRoads, 1, 6, rng),
+         false}};
+    for (const Costs& costs : cost_models) {
+      for (double theta : {0.5, 0.92, 1.0}) {
+        for (int budget : {0, 3, 8, 17, 40}) {
+          const auto problem =
+              OcsProblem::Create(table, queried, weights, candidates,
+                                 costs.model, budget, theta);
+          ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+          const std::string what =
+              "seed " + std::to_string(seed) + " " + costs.name +
+              " theta=" + std::to_string(theta) +
+              " budget=" + std::to_string(budget);
+          const OcsSolution ratio = RatioGreedy(*problem);
+          const OcsSolution objective = ObjectiveGreedy(*problem);
+          const OcsSolution lazy_ratio = LazyRatioGreedy(*problem);
+          const OcsSolution lazy_objective = LazyObjectiveGreedy(*problem);
+          if (costs.one_pass) {
+            // Why one pass suffices: the passes agree bit for bit.
+            ExpectIdentical(objective, ratio, what + " passes");
+            ExpectIdentical(lazy_objective, lazy_ratio,
+                            what + " lazy passes");
+          }
+          ExpectIdentical(HybridGreedy(*problem), Better(ratio, objective),
+                          what + " hybrid");
+          ExpectIdentical(LazyHybridGreedy(*problem),
+                          Better(lazy_ratio, lazy_objective),
+                          what + " lazy hybrid");
+          if (!costs.one_pass && objective.objective > ratio.objective) {
+            ++objective_wins;
+          }
+        }
+      }
+    }
+  }
+  // Without this the non-uniform rows could not tell a skipped objective
+  // pass from a run one.
+  EXPECT_GT(objective_wins, 0);
+}
+
 TEST(GatheredGainBlockTest, BlockCopiesCorrBitForBit) {
   util::Rng rng(11);
   const World world = MakeWorld(rng, 50);
