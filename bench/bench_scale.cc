@@ -243,7 +243,6 @@ SweepPoint ServePoint(const World& world, int num_shards, int clients,
 
   server::BudgetLedger ledger(/*campaign_budget=*/-1, kPerQueryCap);
   server::ShardedEngineOptions engine_options;
-  engine_options.engine.propagator_pool_size = clients;
   engine_options.crowd = crowd_options;
   util::Timer build_timer;
   auto engine = server::ShardedEngine::Create(

@@ -558,7 +558,6 @@ util::Result<RunReport> RunScenario(const Pack& pack,
 
   util::SimClock clock;
   server::QueryEngine::Options engine_options;
-  engine_options.propagator_pool_size = 1;
   engine_options.fault_tolerant_dispatch = pack.fault_tolerant;
   engine_options.dispatch.deadline_ms = pack.deadline_ms;
   engine_options.dispatch.max_attempts = pack.max_attempts;

@@ -12,11 +12,6 @@
 #include "util/timer.h"
 
 namespace crowdrtse::server {
-namespace {
-
-int PoolSizeOrDefault(int requested) { return requested > 0 ? requested : 4; }
-
-}  // namespace
 
 QueryEngine::QueryEngine(core::CrowdRtse& system, WorkerRegistry& registry,
                          BudgetLedger& ledger,
@@ -34,8 +29,7 @@ QueryEngine::QueryEngine(core::CrowdRtse& system, WorkerRegistry& registry,
       costs_(costs),
       crowd_sim_(crowd_sim),
       options_(options),
-      propagators_(system.model(), system.config().gsp,
-                   PoolSizeOrDefault(options.propagator_pool_size)),
+      propagator_(system.model(), system.config().gsp),
       traces_(util::trace::TraceCollector::Options{
           options.trace_ring_size, options.trace_slow_log_size}),
       profiler_(&metrics_),
@@ -79,12 +73,6 @@ void QueryEngine::RegisterInstruments() {
       "crowdrtse_ledger_remaining_units",
       "campaign budget not yet spent or reserved",
       [this] { return ledger_.remaining(); });
-  metrics_.RegisterCallbackGauge(
-      "crowdrtse_gsp_leases_in_flight",
-      "propagator-pool leases currently held by GSP phases", [this] {
-        return static_cast<int64_t>(propagators_.size() -
-                                    propagators_.available());
-      });
   metrics_.RegisterCallbackGauge(
       "crowdrtse_traces_collected", "sampled query traces collected",
       [this] { return traces_.collected(); });
@@ -283,8 +271,6 @@ util::Result<QueryResponse> QueryEngine::Serve(
 
   // Step 3 — GSP over the roads that actually produced answers, read at
   // the queried roads only: the propagation touches the probes' H-ball.
-  // Leasing a propagator bounds how many GSP phases run at once; the
-  // stage's time includes the wait for the lease.
   obs::StageTimer gsp_stage(obs::Stage::kGspSweep);
   std::vector<double> probed;
   probed.reserve(round->probes.size());
@@ -296,14 +282,8 @@ util::Result<QueryResponse> QueryEngine::Serve(
     util::trace::Span gsp_span("gsp");
     gsp_span.Annotate("probed",
                       static_cast<int64_t>(response.probed_roads.size()));
-    gsp::PropagatorPool::Lease propagator = [&] {
-      util::trace::Span acquire_span("gsp.acquire");
-      acquire_span.Annotate("available",
-                            static_cast<int64_t>(propagators_.available()));
-      return propagators_.Acquire();
-    }();
     util::trace::Span propagate_span("gsp.propagate");
-    util::Result<gsp::GspReadout> propagated = propagator->PropagateAt(
+    util::Result<gsp::GspReadout> propagated = propagator_.PropagateAt(
         request.slot, response.probed_roads, probed, request.queried);
     if (propagated.ok()) {
       propagate_span.Annotate("sweeps",

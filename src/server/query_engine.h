@@ -10,7 +10,7 @@
 #include "core/crowd_rtse.h"
 #include "crowd/dispatch_controller.h"
 #include "crowd/fault_plan.h"
-#include "gsp/propagator_pool.h"
+#include "gsp/propagation.h"
 #include "obs/stage_profiler.h"
 #include "server/budget_ledger.h"
 #include "server/engine.h"
@@ -31,9 +31,8 @@ namespace crowdrtse::server {
 ///
 /// Thread-safety: Serve may be called from any number of threads
 /// concurrently. Query ids are allocated atomically, the ledger reserves
-/// budget atomically, stats/metrics are internally synchronized, the GSP
-/// phase leases a propagator from a fixed pool (which bounds how many GSP
-/// phases run at once; see gsp/propagator_pool.h), and the crowd-simulation
+/// budget atomically, stats/metrics are internally synchronized, the one
+/// SpeedPropagator is reentrant (per-thread workspaces), and the crowd-simulation
 /// phase is serialized on an internal mutex (the simulator's RNG is
 /// stateful; a real crowd is asynchronous anyway). Lazy CCD refinement is
 /// safe under concurrent serving: CrowdRtse serializes it internally,
@@ -45,8 +44,9 @@ class QueryEngine : public Engine {
  public:
   /// Engine behaviour knobs.
   struct Options {
-    /// Number of SpeedPropagator instances available to concurrent GSP
-    /// phases (also the GSP concurrency limit). <= 0 means 4.
+    /// Ignored: the engine serves every GSP phase from one reentrant
+    /// SpeedPropagator. Kept only because the serving benchmark still sets
+    /// it.
     int propagator_pool_size = 0;
     /// Fault-tolerant crowd dispatch (deadline -> retry -> reassign ->
     /// degrade; DESIGN.md §5c). When false the legacy single-shot
@@ -156,7 +156,7 @@ class QueryEngine : public Engine {
   const crowd::CostModel& costs_;
   crowd::CrowdSimulator& crowd_sim_;
   Options options_;
-  gsp::PropagatorPool propagators_;
+  const gsp::SpeedPropagator propagator_;
 
   std::atomic<int64_t> next_query_id_{1};
   /// Serializes the stateful crowd simulator (see class comment).

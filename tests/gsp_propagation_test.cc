@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "graph/bfs.h"
 #include "graph/generators.h"
@@ -286,6 +289,58 @@ TEST(GspTest, HopLimitLeavesRoadsBeyondItUnreachedAtMu) {
     EXPECT_EQ(std::memcmp(&got, &mu, sizeof(double)), 0) << "road " << r;
   }
   EXPECT_GT(beyond, 0);
+}
+
+TEST(GspTest, ConcurrentCallsOnOneInstanceReachTheSameFixedPoint) {
+  // SpeedPropagator is reentrant (per-thread workspaces): six clients
+  // sharing one instance must each reproduce the sequential field bit for
+  // bit.
+  util::Rng rng(11);
+  graph::RoadNetworkOptions net;
+  net.num_roads = 120;
+  const graph::Graph g = *graph::RoadNetwork(net, rng);
+  rtf::RtfModel model(g, 1);
+  for (graph::RoadId r = 0; r < g.num_roads(); ++r) {
+    model.SetMu(0, r, rng.UniformDouble(30.0, 70.0));
+    model.SetSigma(0, r, rng.UniformDouble(1.0, 6.0));
+  }
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    model.SetRho(0, e, rng.UniformDouble(0.4, 0.95));
+  }
+  std::vector<graph::RoadId> sampled;
+  std::vector<double> probed;
+  for (graph::RoadId r = 0; r < g.num_roads(); r += 8) {
+    sampled.push_back(r);
+    probed.push_back(rng.UniformDouble(20.0, 80.0));
+  }
+  GspOptions options;
+  options.epsilon = 1e-8;
+  options.max_sweeps = 2000;
+  const SpeedPropagator propagator(model, options);
+  const auto expected = propagator.Propagate(0, sampled, probed);
+  ASSERT_TRUE(expected.ok());
+
+  constexpr int kClients = 6;
+  std::vector<std::vector<double>> results(kClients);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        const auto result = propagator.Propagate(0, sampled, probed);
+        if (!result.ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        results[static_cast<size_t>(c)] = result->speeds;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (const std::vector<double>& speeds : results) {
+    EXPECT_EQ(speeds, expected->speeds);
+  }
 }
 
 }  // namespace

@@ -81,7 +81,6 @@ TEST_F(ConcurrentEngineTest, SharedLedgerNeverOverspendsCampaign) {
   constexpr int64_t kCampaignBudget = 300;  // dries up mid-run
   BudgetLedger ledger(kCampaignBudget, /*per_query_cap=*/12);
   QueryEngine::Options options;
-  options.propagator_pool_size = 3;
   QueryEngine engine(*system_, *registry_, ledger, costs_, *crowd_sim_,
                      options);
 

@@ -462,7 +462,7 @@ TEST_F(QueryEngineTest, SampledQueryProducesFullSpanTree) {
   EXPECT_EQ(AnnotationValue(*serve, "outcome"), "served");
   for (const char* name :
        {"ocs", "ocs.correlations", "ocs.select", "crowd", "gsp",
-        "gsp.acquire", "gsp.propagate", "settle"}) {
+        "gsp.propagate", "settle"}) {
     const util::trace::SpanRecord* span = FindSpan(spans, name);
     EXPECT_NE(span, nullptr) << "missing span " << name;
     if (span != nullptr) {
@@ -579,8 +579,6 @@ TEST_F(QueryEngineTest, MetricsExpositionMatchesStats) {
                       std::to_string(ledger.remaining()) + "\n"),
             std::string::npos);
   EXPECT_NE(prom.find("crowdrtse_ledger_reserved_outstanding 0\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("crowdrtse_gsp_leases_in_flight 0\n"),
             std::string::npos);
   EXPECT_NE(prom.find("crowdrtse_gamma_cache_resident_bytes"),
             std::string::npos);
