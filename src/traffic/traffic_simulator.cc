@@ -119,9 +119,16 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
                          (static_cast<uint64_t>(day) + 1)));
 
   // --- incidents scheduled for the day --------------------------------
-  // incident_drop[slot * n + road] accumulates fractional severity.
-  std::vector<double> incident_drop(
-      static_cast<size_t>(kSlotsPerDay) * static_cast<size_t>(n), 0.0);
+  // One span per road an incident reaches, appended in incident -> hop ->
+  // frontier order. A road's fractional drop in a slot is the sum of its
+  // spans covering that slot, added in that order.
+  struct IncidentSpan {
+    graph::RoadId road;
+    int start;
+    int end;
+    double severity;
+  };
+  std::vector<IncidentSpan> incidents;
   // Roads one incident's spillover has reached: a day-scoped marker,
   // cleared after each incident at the roads it marked only.
   std::vector<char> seen(static_cast<size_t>(n), 0);
@@ -139,10 +146,7 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
     for (int hop = 0; hop <= options_.incident_spillover_hops && severity > 0.01;
          ++hop) {
       for (graph::RoadId road : frontier) {
-        for (int slot = start; slot < end; ++slot) {
-          incident_drop[static_cast<size_t>(slot) * static_cast<size_t>(n) +
-                        static_cast<size_t>(road)] += severity;
-        }
+        incidents.push_back({road, start, end, severity});
       }
       std::vector<graph::RoadId> next;
       for (graph::RoadId road : frontier) {
@@ -158,6 +162,23 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
       severity *= 0.5;
     }
     for (graph::RoadId road : marked) seen[static_cast<size_t>(road)] = 0;
+  }
+  // Group the spans by road with a stable counting sort, so each road's
+  // spans keep their order.
+  std::vector<size_t> incident_offsets(static_cast<size_t>(n) + 1, 0);
+  for (const IncidentSpan& span : incidents) {
+    ++incident_offsets[static_cast<size_t>(span.road) + 1];
+  }
+  for (size_t r = 0; r < static_cast<size_t>(n); ++r) {
+    incident_offsets[r + 1] += incident_offsets[r];
+  }
+  std::vector<IncidentSpan> road_incidents(incidents.size());
+  {
+    std::vector<size_t> cursor(incident_offsets.begin(),
+                               incident_offsets.end() - 1);
+    for (const IncidentSpan& span : incidents) {
+      road_incidents[cursor[static_cast<size_t>(span.road)]++] = span;
+    }
   }
 
   // --- spatio-temporal latent fluctuation -----------------------------
@@ -192,16 +213,18 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
       noise.swap(smoothed);
     }
     double* speeds = out.SlotPtr(slot);
-    const double* slot_drop = incident_drop.data() +
-                              static_cast<size_t>(slot) *
-                                  static_cast<size_t>(n);
     for (graph::RoadId r = 0; r < n; ++r) {
       const size_t i = static_cast<size_t>(r);
       z[i] = phi * z[i] + innovation_scale * noise[i];
       const RoadProfile& profile = profiles_[i];
       const double periodic =
           PeriodicSpeedOf(profile, rush_factor, bumps, options_.min_speed);
-      const double drop = std::min(0.9, slot_drop[i]);
+      double slot_drop = 0.0;
+      for (size_t k = incident_offsets[i]; k < incident_offsets[i + 1]; ++k) {
+        const IncidentSpan& span = road_incidents[k];
+        if (slot >= span.start && slot < span.end) slot_drop += span.severity;
+      }
+      const double drop = std::min(0.9, slot_drop);
       const double speed =
           periodic * (1.0 - drop) + profile.noise_scale * z[i];
       speeds[r] = std::max(options_.min_speed, speed);
