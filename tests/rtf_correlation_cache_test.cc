@@ -401,13 +401,17 @@ TEST(CorrelationCacheTest, InvalidateDuringComputeDiscardsStaleResult) {
   std::thread computer([&] {
     const auto result = cache.GetOrCompute(0, compute);
     EXPECT_TRUE(result.ok());
-    if (result.ok()) EXPECT_DOUBLE_EQ((*result)->Corr(0, 1), 0.5);
+    if (result.ok()) {
+      EXPECT_DOUBLE_EQ((*result)->Corr(0, 1), 0.5);
+    }
   });
   while (!entered.load()) std::this_thread::yield();
   std::thread waiter([&] {
     const auto result = cache.GetOrCompute(0, compute);
     EXPECT_TRUE(result.ok());
-    if (result.ok()) EXPECT_DOUBLE_EQ((*result)->Corr(0, 1), 0.5);
+    if (result.ok()) {
+      EXPECT_DOUBLE_EQ((*result)->Corr(0, 1), 0.5);
+    }
   });
   while (cache.stats().coalesced < 1) std::this_thread::yield();
   cache.Invalidate(0);
