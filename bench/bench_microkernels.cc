@@ -3,7 +3,9 @@
 //
 //   - GSP Eq. (18) sweeps: the reference accessor kernel vs the four-lane
 //     unrolled production kernel (both compute the same fixpoint; see
-//     gsp::GspKernel).
+//     gsp::GspKernel), for a fixed sweep count on the metro network and to
+//     convergence on the paper's 607-road world, where the production
+//     kernel's over-relaxation cuts the sweeps.
 //   - Gamma_R maintenance: full sparse-closure rebuild vs the incremental
 //     RefreshedRows patch after a few edge correlations change.
 //   - Graph primitives: the epoch-stamped StampedBfs (a full unbounded
@@ -37,7 +39,9 @@
 #include "gsp/propagation.h"
 #include "ocs/greedy_selectors.h"
 #include "rtf/correlation_table.h"
+#include "rtf/moment_estimator.h"
 #include "rtf/rtf_model.h"
+#include "traffic/traffic_simulator.h"
 #include "util/logging.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -116,6 +120,7 @@ struct KernelResult {
   std::string kernel;
   double ns_per_op = 0.0;
   int roads = 0;
+  double sweeps = -1.0;  // mean GSP sweeps per op; < 0 = not a GSP row
 };
 
 double g_sink = 0.0;  // defeats dead-code elimination of benched results
@@ -213,6 +218,61 @@ void Run(const Flags& flags) {
     record(std::string("gsp_propagate_") + KernelName(kernel), ns);
     if (kernel == gsp::GspKernel::kReference) gsp_reference_ns = ns;
     if (kernel == gsp::GspKernel::kUnrolled) gsp_unrolled_ns = ns;
+  }
+
+  // --- GSP to convergence on the paper's 607-road world (moment-fitted
+  // RTF, default epsilon): 32 queries of 15 probes at random slots, probed
+  // at the held-out day's truth. One op is one propagation.
+  {
+    util::Rng net_rng(42);
+    graph::RoadNetworkOptions net;
+    net.num_roads = 607;
+    const graph::Graph paper = *graph::RoadNetwork(net, net_rng);
+    traffic::TrafficModelOptions traffic_options;
+    traffic_options.num_days = 30;
+    const traffic::TrafficSimulator sim(paper, traffic_options, 43);
+    const auto paper_model =
+        rtf::EstimateByMoments(paper, sim.GenerateHistory(), {});
+    CROWDRTSE_CHECK(paper_model.ok());
+    const traffic::DayMatrix truth = sim.GenerateEvaluationDay();
+    struct Query {
+      int slot;
+      std::vector<graph::RoadId> roads;
+      std::vector<double> speeds;
+    };
+    std::vector<Query> queries(32);
+    util::Rng query_rng(2018);
+    for (Query& q : queries) {
+      q.slot = query_rng.UniformInt(0, traffic::kSlotsPerDay - 1);
+      for (int r : query_rng.SampleWithoutReplacement(paper.num_roads(), 15)) {
+        q.roads.push_back(r);
+        q.speeds.push_back(truth.At(q.slot, r));
+      }
+    }
+    for (const gsp::GspKernel kernel :
+         {gsp::GspKernel::kReference, gsp::GspKernel::kUnrolled}) {
+      gsp::GspOptions options;
+      options.kernel = kernel;
+      const gsp::SpeedPropagator propagator(*paper_model, options);
+      int64_t sweeps = 0;
+      const double ns = MeasureNsPerOp(flags.reps, [&] {
+        sweeps = 0;
+        for (const Query& q : queries) {
+          const auto result = propagator.Propagate(q.slot, q.roads, q.speeds);
+          CROWDRTSE_CHECK(result.ok());
+          sweeps += result->sweeps;
+          g_sink += result->speeds[1];
+        }
+      });
+      const double per_query = static_cast<double>(queries.size());
+      KernelResult row{std::string("gsp_propagate_") + KernelName(kernel) +
+                           "_converged",
+                       ns / per_query, paper.num_roads(),
+                       static_cast<double>(sweeps) / per_query};
+      std::printf("  %-34s %8.0f ns/op  %d roads, %.1f sweeps\n",
+                  row.kernel.c_str(), row.ns_per_op, row.roads, row.sweeps);
+      results.push_back(std::move(row));
+    }
   }
 
   // --- Gamma_R: full sparse rebuild vs incremental row refresh after a
@@ -319,7 +379,11 @@ void Run(const Flags& flags) {
     const KernelResult& r = results[i];
     json += "    {\"kernel\": \"" + r.kernel + "\", \"ns_per_op\": " +
             util::FormatDouble(r.ns_per_op, 0) +
-            ", \"roads\": " + std::to_string(r.roads) + "}";
+            ", \"roads\": " + std::to_string(r.roads);
+    if (r.sweeps >= 0.0) {
+      json += ", \"sweeps\": " + util::FormatDouble(r.sweeps, 2);
+    }
+    json += "}";
     json += (i + 1 < results.size()) ? ",\n" : "\n";
   }
   json += "  ],\n";

@@ -34,6 +34,8 @@ struct SweepContext {
   const double* packed_base = nullptr;  // num_base per position
   const double* packed_den = nullptr;   // Eq. (18) denominator per position
   double* speeds = nullptr;
+  // Over-relaxation factor of the unrolled kernel (1 = plain Eq. 18).
+  double omega = 1.0;
   const rtf::RtfModel* model = nullptr;
   int slot = 0;
 };
@@ -106,8 +108,11 @@ inline void PrefetchSpeeds(const SweepContext& c, size_t pos) {
 /// the bit-exact value the reference's accumulation produces. Relative to
 /// the reference this reassociates the numerator by <= ~1e-12 (documented
 /// tolerance); rows of degree < 4 take the reference's association and
-/// stay bit-identical.
+/// stay bit-identical. With omega != 1 each road moves omega times its
+/// Eq. (18) step (successive over-relaxation; see RunSweeps); at omega == 1
+/// the Eq. (18) value is stored as is.
 double SweepUnrolled(const SweepContext& c) {
+  const double omega = c.omega;
   double local = 0.0;
   for (size_t pos = 0; pos < c.order_size; ++pos) {
     PrefetchSpeeds(c, pos);
@@ -141,9 +146,11 @@ double SweepUnrolled(const SweepContext& c) {
                c.packed_w[k];
       }
     }
-    const double updated = num / c.packed_den[pos];
     const size_t ri = static_cast<size_t>(c.order[pos]);
-    local = std::max(local, std::fabs(updated - c.speeds[ri]));
+    const double current = c.speeds[ri];
+    double updated = num / c.packed_den[pos];
+    if (omega != 1.0) updated = current + omega * (updated - current);
+    local = std::max(local, std::fabs(updated - current));
     c.speeds[ri] = updated;
   }
   return local;
@@ -257,10 +264,34 @@ void PackRows(const rtf::RtfModel::SlotSoa& soa, const graph::Graph& graph,
   c.packed_den = ws.packed_den.data();
 }
 
-/// Sweeps until no road moves by epsilon or the sweep cap is hit.
-int RunSweeps(const SweepContext& ctx, SweepFn fn, double epsilon,
+/// Sweeps between two estimates of the over-relaxation factor.
+constexpr int kOmegaPeriod = 8;
+
+/// The over-relaxation factor for the sweeps ahead, from the max-deltas of
+/// sweeps k (`delta_k`) and k - 2 (`delta_k2`) run at factor `omega`.
+/// mu = sqrt(delta_k / delta_k2) is the per-sweep contraction; Young's
+/// relation (mu + omega - 1)^2 = omega^2 lambda^2 mu gives the Jacobi
+/// spectral radius lambda, and 2 / (1 + sqrt(1 - lambda^2)) the optimal
+/// factor for it. Only ever raises omega, and keeps it when the deltas do
+/// not contract (no estimate).
+double EstimateOmega(double delta_k, double delta_k2, double omega) {
+  const double mu = std::sqrt(delta_k / delta_k2);
+  if (!(mu > 0.0 && mu < 1.0)) return omega;
+  const double lambda = (mu + omega - 1.0) / (omega * std::sqrt(mu));
+  if (!(lambda < 1.0)) return omega;
+  return std::max(omega, 2.0 / (1.0 + std::sqrt(1.0 - lambda * lambda)));
+}
+
+/// Sweeps until no road moves by epsilon or the sweep cap is hit. With
+/// `over_relax`, sweeps start at omega = 1 and every kOmegaPeriod sweeps
+/// re-estimate omega from their own max-deltas (EstimateOmega); a field
+/// that converges within kOmegaPeriod sweeps is never over-relaxed.
+int RunSweeps(SweepContext& ctx, SweepFn fn, bool over_relax, double epsilon,
               int max_sweeps, bool& converged) {
   converged = false;
+  ctx.omega = 1.0;
+  double delta_prev = 0.0;   // max-delta of the previous sweep
+  double delta_prev2 = 0.0;  // ... and of the one before
   int sweeps = 0;
   while (sweeps < max_sweeps) {
     ++sweeps;
@@ -269,6 +300,11 @@ int RunSweeps(const SweepContext& ctx, SweepFn fn, double epsilon,
       converged = true;
       break;
     }
+    if (over_relax && sweeps % kOmegaPeriod == 0) {
+      ctx.omega = EstimateOmega(max_delta, delta_prev2, ctx.omega);
+    }
+    delta_prev2 = delta_prev;
+    delta_prev = max_delta;
   }
   return sweeps;
 }
@@ -356,15 +392,16 @@ util::Result<SpeedPropagator::FieldStats> SpeedPropagator::SolveField(
 
   ctx.speeds = ws.speeds.data();
   SweepFn fn = &SweepReference;
-  if (options_.kernel == GspKernel::kReference) {
+  const bool over_relax = options_.kernel != GspKernel::kReference;
+  if (!over_relax) {
     ctx.model = &model_;
     ctx.slot = slot;
   } else {
     PackRows(model_.Soa(slot), model_.graph(), ws, ctx);
     fn = &SweepUnrolled;
   }
-  stats.sweeps = RunSweeps(ctx, fn, options_.epsilon, options_.max_sweeps,
-                           stats.converged);
+  stats.sweeps = RunSweeps(ctx, fn, over_relax, options_.epsilon,
+                           options_.max_sweeps, stats.converged);
   stats.relaxed = static_cast<int64_t>(ctx.order_size) * stats.sweeps;
   // ONE flight record per propagation (sweep count in the payload), never
   // per sweep: Propagate runs per query per shard while a sweep runs tens

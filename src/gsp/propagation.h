@@ -10,17 +10,23 @@
 
 namespace crowdrtse::gsp {
 
-/// Which Eq. (18) sweep kernel relaxes the roads. Both compute the same
-/// fixpoint; they differ in arithmetic association only:
+/// Which Eq. (18) sweep kernel relaxes the roads. Both converge to the same
+/// fixpoint; they stop at different iterates once the field needs more than
+/// 8 sweeps:
 ///  - kReference walks the RtfModel accessors per neighbour, re-deriving
-///    and re-inverting every pair variance (the original formulation, kept
-///    as the golden test oracle and for A/B benchmarks).
+///    and re-inverting every pair variance: the paper's plain Alg. 5, kept
+///    as the golden test oracle and for A/B benchmarks.
 ///  - kUnrolled reads the precomputed SoA slot parameters in CSR order:
 ///    the speed-independent numerator part pre-folded (SlotSoa::num_base)
 ///    and only sum_j v_j/sigma_ij^2 accumulated per sweep, in four
 ///    independent lanes combined pairwise. The reassociation drifts at most
 ///    ~1e-12 relative from kReference; rows of degree < 4 take the
-///    reference's association and stay bit-identical.
+///    reference's association and stay bit-identical. Its first 8 sweeps
+///    are plain Eq. (18); after every 8th it estimates an over-relaxation
+///    factor omega from its own max-deltas and moves each road omega times
+///    its Eq. (18) step (SOR), which roughly halves the sweeps on the
+///    paper's 607-road world. A field that converges within 8 sweeps is
+///    never over-relaxed.
 enum class GspKernel { kReference, kUnrolled };
 
 /// Options for Graph-based Speed Propagation (paper Alg. 5).
