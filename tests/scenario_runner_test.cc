@@ -72,13 +72,13 @@ TEST(ScenarioRunnerTest, CommittedPackDigestsArePinned) {
     uint64_t sharded;
   };
   constexpr Pinned kPinned[] = {
-      {"budget_wave", 0x9f30815a0a1996e3ULL, 0x2b5e1f99f3c15c27ULL},
+      {"budget_wave", 0x9f30815a0a1996e3ULL, 0xdf842d7d3e49ef5aULL},
       {"fault_swap", 0xa29a63348644fdf6ULL, 0xa5c1f9b7c075e471ULL},
-      {"flash_crowd", 0xbd3bbdeff2c643e9ULL, 0x41df66dbd0217b44ULL},
-      {"incident_cascade", 0x71b044e345b3b18bULL, 0x2e878424354da1fbULL},
-      {"liar_cohort", 0x8137c90137290ef8ULL, 0xff23543ec3df8c41ULL},
-      {"rush_hour", 0x70d57f2636549b57ULL, 0x7c23b6b7abd69bb8ULL},
-      {"worker_starvation", 0xf9751e22cc195bbfULL, 0x5beb0160db6700c1ULL},
+      {"flash_crowd", 0x652ce47793773f4aULL, 0xe93b4b24ad6d3237ULL},
+      {"incident_cascade", 0x7a3d7cf363873dd5ULL, 0xf397d9d56323f32eULL},
+      {"liar_cohort", 0x24d055402f1ec447ULL, 0xff23543ec3df8c41ULL},
+      {"rush_hour", 0xf2321f9521ccccb9ULL, 0x4445a1ab9256fc54ULL},
+      {"worker_starvation", 0x7cc4de7f89f68061ULL, 0x34e3b31f3c6962d7ULL},
   };
   for (const Pinned& pinned : kPinned) {
     auto pack = LoadPackFile(std::string(CROWDRTSE_SCENARIO_DIR) + "/" +
