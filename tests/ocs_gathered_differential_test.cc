@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <queue>
 #include <string>
@@ -333,6 +334,45 @@ TEST(HybridOnePassTest, UniformPowerOfTwoCostsMatchTwoPasses) {
   // Without this the non-uniform rows could not tell a skipped objective
   // pass from a run one.
   EXPECT_GT(objective_wins, 0);
+}
+
+// Why the one-pass rule needs a power of two: dividing by 3 rounds, so two
+// gains one ulp apart can tie as ratios. On a three-road path with the
+// queried road in the middle, the ratio pass then keeps the first (smaller)
+// candidate while the objective pass takes the larger, and Alg. 4 must
+// return the objective pass.
+TEST(HybridOnePassTest, UniformCostThreeKeepsBothPasses) {
+  const graph::Graph path = *graph::PathNetwork(3);
+  ASSERT_EQ(path.num_edges(), 2);
+  // The first x in [0.8, 1) whose successor divides by 3 to the same value.
+  double low = 0.8;
+  while (low / 3.0 != std::nextafter(low, 2.0) / 3.0) {
+    low = std::nextafter(low, 2.0);
+  }
+  const double high = std::nextafter(low, 2.0);
+  ASSERT_LT(high, 1.0);
+  const rtf::CorrelationTable table =
+      *rtf::CorrelationTable::FromEdgeCorrelations(
+          path, {low, high}, rtf::PathWeightMode::kNegLog, nullptr,
+          /*hop_radius=*/1);
+  const graph::RoadId queried = 1;
+  const graph::RoadId smaller =
+      table.Corr(queried, 0) == low ? 0 : 2;  // edge order decides which
+  const graph::RoadId larger = 2 - smaller;
+  ASSERT_EQ(table.Corr(queried, smaller), low);
+  ASSERT_EQ(table.Corr(queried, larger), high);
+  const crowd::CostModel costs = crowd::CostModel::Constant(3, 3);
+  const auto problem =
+      OcsProblem::Create(table, {queried}, {1.0}, {smaller, larger}, costs,
+                         /*budget=*/3, /*theta=*/1.0);
+  ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+  ASSERT_EQ(RatioGreedy(*problem).roads,
+            std::vector<graph::RoadId>{smaller});
+  ASSERT_EQ(ObjectiveGreedy(*problem).roads,
+            std::vector<graph::RoadId>{larger});
+  EXPECT_EQ(HybridGreedy(*problem).roads, std::vector<graph::RoadId>{larger});
+  EXPECT_EQ(LazyHybridGreedy(*problem).roads,
+            std::vector<graph::RoadId>{larger});
 }
 
 TEST(GatheredGainBlockTest, BlockCopiesCorrBitForBit) {
