@@ -163,23 +163,11 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
     }
     for (graph::RoadId road : marked) seen[static_cast<size_t>(road)] = 0;
   }
-  // Group the spans by road with a stable counting sort, so each road's
-  // spans keep their order.
-  std::vector<size_t> incident_offsets(static_cast<size_t>(n) + 1, 0);
-  for (const IncidentSpan& span : incidents) {
-    ++incident_offsets[static_cast<size_t>(span.road) + 1];
-  }
-  for (size_t r = 0; r < static_cast<size_t>(n); ++r) {
-    incident_offsets[r + 1] += incident_offsets[r];
-  }
-  std::vector<IncidentSpan> road_incidents(incidents.size());
-  {
-    std::vector<size_t> cursor(incident_offsets.begin(),
-                               incident_offsets.end() - 1);
-    for (const IncidentSpan& span : incidents) {
-      road_incidents[cursor[static_cast<size_t>(span.road)]++] = span;
-    }
-  }
+  // Each road's spans contiguous, in road order, keeping their order.
+  std::stable_sort(incidents.begin(), incidents.end(),
+                   [](const IncidentSpan& a, const IncidentSpan& b) {
+                     return a.road < b.road;
+                   });
 
   // --- spatio-temporal latent fluctuation -----------------------------
   const double phi = options_.temporal_persistence;
@@ -213,6 +201,7 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
       noise.swap(smoothed);
     }
     double* speeds = out.SlotPtr(slot);
+    size_t next_span = 0;
     for (graph::RoadId r = 0; r < n; ++r) {
       const size_t i = static_cast<size_t>(r);
       z[i] = phi * z[i] + innovation_scale * noise[i];
@@ -220,8 +209,9 @@ DayMatrix TrafficSimulator::GenerateDay(int day) const {
       const double periodic =
           PeriodicSpeedOf(profile, rush_factor, bumps, options_.min_speed);
       double slot_drop = 0.0;
-      for (size_t k = incident_offsets[i]; k < incident_offsets[i + 1]; ++k) {
-        const IncidentSpan& span = road_incidents[k];
+      for (; next_span < incidents.size() && incidents[next_span].road == r;
+           ++next_span) {
+        const IncidentSpan& span = incidents[next_span];
         if (slot >= span.start && slot < span.end) slot_drop += span.severity;
       }
       const double drop = std::min(0.9, slot_drop);
